@@ -4,10 +4,14 @@ Each node bounds its live subtree points by a hypersphere (centroid center,
 exact max-distance radius).  Construction is top-down: every candidate split
 axis is sorted and a cost array evaluated at each boundary between distinct
 values; the cheapest (dimension, boundary) wins.  The cost charges each side
-its member count times the squared half-extent along the axis, penalizing
-wide unbalanced children.  Insertion descends toward the nearer child center
-and inflates radii on the way down; deletion mirrors the kd-tree tombstone
-plus subtree-rebuild policy so the two structures differ only in geometry.
+its member count times an estimate of its squared half-diagonal: the squared
+half-extent along the cut axis plus the node's squared half-extents on every
+other axis.  A split therefore shrinks the child's whole ball, not just one
+axis, so the tree does not slice an already thin axis into slabs whose balls
+stay as wide as the parent's (Omohundro, ICSI TR-89-063; Moore, UAI 2000).
+Insertion descends toward the nearer child center and inflates radii on the
+way down; deletion mirrors the kd-tree tombstone plus subtree-rebuild policy
+so the two structures differ only in geometry.
 """
 
 from __future__ import annotations
@@ -42,9 +46,12 @@ def _query_coords(q) -> np.ndarray:
 def choose_split(point_ids, data) -> SplitChoice:
     """Scan every dimension for the cheapest boundary between sorted values.
 
-    `data` is a Dataset or a raw (n, d) coordinate array.  Cost at a boundary
-    putting p points left: (left_extent/2)^2 * p + (right_extent/2)^2 * (m-p),
-    where extents are measured along the axis under consideration.  Ties go to
+    `data` is a Dataset or a raw (n, d) coordinate array.  With h_k the node's
+    half-extent on axis k, the cost of a boundary on axis `dim` putting p of
+    the m points left is (left_extent/2)^2 * p + (right_extent/2)^2 * (m-p)
+    + m * (sum_k h_k^2 - h_dim^2): each side is charged its count times its
+    squared half-diagonal, with the child's extent measured along `dim` and
+    the node's own extent on every other axis.  Ties go to
     the lowest dimension, then the lowest boundary position.  When all points
     are coordinate-identical there is no real boundary; the returned choice
     has cost 0 and callers fall back to a half/half split by id.
@@ -54,17 +61,21 @@ def choose_split(point_ids, data) -> SplitChoice:
     m = len(ids)
     if m < 2:
         raise ValueError(f"choose_split needs at least 2 points, got {m}")
+    pts = coords[ids]
+    half_sq = ((pts.max(axis=0) - pts.min(axis=0)) * 0.5) ** 2
+    total_sq = float(half_sq.sum())
     best: tuple[float, int, float] | None = None  # (cost, dim, value)
     n_left = np.arange(1, m, dtype=np.float64)
     n_right = np.arange(m - 1, 0, -1, dtype=np.float64)
     for dim in range(coords.shape[1]):
-        vals = np.sort(coords[ids, dim])
+        vals = np.sort(pts[:, dim])
         valid = vals[1:] > vals[:-1]
         if not valid.any():
             continue
         half_left = (vals[:-1] - vals[0]) * 0.5
         half_right = (vals[-1] - vals[1:]) * 0.5
         cost = half_left * half_left * n_left + half_right * half_right * n_right
+        cost += m * (total_sq - float(half_sq[dim]))
         cost[~valid] = np.inf
         b = int(np.argmin(cost))
         c = float(cost[b])
@@ -98,7 +109,6 @@ class BallNode:
         "ids",
         "n_live",
         "n_tomb",
-        "emst",
         "_arr",
     )
 
@@ -111,7 +121,6 @@ class BallNode:
         self.ids: list[int] | None = None
         self.n_live = 0
         self.n_tomb = 0
-        self.emst = None  # per-round traversal cache, managed by the EMST engine
         self._arr = None
 
     @property
@@ -125,10 +134,6 @@ class BallNode:
 
     def min_sqdist_point(self, c: np.ndarray) -> float:
         b = math.sqrt(sqdist(c, self.center)) - self.radius
-        return b * b if b > 0.0 else 0.0
-
-    def min_sqdist_node(self, other: "BallNode") -> float:
-        b = math.sqrt(sqdist(self.center, other.center)) - self.radius - other.radius
         return b * b if b > 0.0 else 0.0
 
     def collect_live_ids(self) -> list[int]:

@@ -65,7 +65,6 @@ class KdNode:
         "ids",
         "n_live",
         "n_tomb",
-        "emst",
         "_arr",
     )
 
@@ -80,7 +79,6 @@ class KdNode:
         self.ids: list[int] | None = None
         self.n_live = 0
         self.n_tomb = 0
-        self.emst = None  # per-round traversal cache, managed by the EMST engine
         self._arr = None
 
     @property
@@ -98,11 +96,6 @@ class KdNode:
 
     def min_sqdist_point(self, c: np.ndarray) -> float:
         g = np.maximum(self.mins - c, 0.0) + np.maximum(c - self.maxs, 0.0)
-        return float(g @ g)
-
-    def min_sqdist_node(self, other: "KdNode") -> float:
-        g = np.maximum(self.mins - other.maxs, other.mins - self.maxs)
-        np.maximum(g, 0.0, out=g)
         return float(g @ g)
 
     def collect_live_ids(self) -> list[int]:

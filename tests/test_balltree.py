@@ -1,8 +1,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emstbench import BallTree, Dataset, Point, ball_min_distance, choose_split
+from emstbench import (
+    BallTree,
+    Dataset,
+    Point,
+    ball_min_distance,
+    choose_split,
+    dual_tree_boruvka,
+    kruskal_mst,
+)
 from emstbench.core import sq_dists
 from conftest import brute_knn, random_dataset
 
@@ -41,6 +51,15 @@ class TestChooseSplit:
         tree = make_tree(coords, leaf_capacity=2)
         tree.audit()
         assert tree.size == 6
+        assert sorted(tree.root.left.collect_live_ids()) == [0, 1, 2]
+        assert sorted(tree.root.right.collect_live_ids()) == [3, 4, 5]
+
+    def test_thin_axis_is_not_cut_into_slabs(self, rng):
+        # y takes two values 0.2 apart: cutting y leaves two zero-width slabs
+        # whose balls are as wide as the parent's; cutting x halves both balls
+        coords = np.column_stack([rng.random(100), np.repeat([0.0, 0.2], 50)])
+        choice = choose_split(range(100), coords)
+        assert choice.dim == 0
 
     def test_deterministic(self, rng):
         coords = rng.random((30, 4))
@@ -74,6 +93,18 @@ class TestBuild:
     def test_containment_everywhere(self, rng):
         tree = BallTree(random_dataset(rng, 300, 5), leaf_capacity=7)
         tree.audit()
+
+    def test_base_sized_nodes_are_small_balls(self, rng):
+        tree = BallTree(random_dataset(rng, 5000, 3))
+        radii = []
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if node.n_live <= 128:
+                radii.append(node.radius)
+            else:
+                stack.extend((node.left, node.right))
+        assert float(np.median(radii)) < 0.4 * tree.root.radius
 
     def test_centroid_and_radius_are_tight(self, rng):
         ds = random_dataset(rng, 40, 3)
@@ -199,6 +230,44 @@ class TestMutation:
             q = rng.random(3)
             assert tree.knn(q, 3) == brute_knn(tree.coords, sorted(live), q, 3), f"step {step}"
         tree.audit()
+
+
+@st.composite
+def tie_heavy_sets(draw):
+    """Up to 60 points on at most 5 distinct integer sites."""
+    d = draw(st.integers(1, 4))
+    site = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    sites = draw(st.lists(site, min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(sites) - 1), min_size=2, max_size=60))
+    return np.array([sites[i] for i in picks], dtype=np.float64)
+
+
+@st.composite
+def near_flat_sets(draw):
+    """Uniform points with one or more axes of zero or about 1e-9 extent."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 60))
+    coords = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, d))
+    spans = draw(st.lists(st.sampled_from([1.0, 1e-9, 0.0]), min_size=d, max_size=d))
+    if all(s == 1.0 for s in spans):
+        spans[draw(st.integers(0, d - 1))] = draw(st.sampled_from([1e-9, 0.0]))
+    return 0.5 + (coords - 0.5) * np.array(spans)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(tie_heavy_sets(), near_flat_sets()), st.sampled_from([1, 2, 5]))
+def test_degenerate_sets_give_bit_identical_msts(coords, leaf_capacity):
+    ds = Dataset(coords)
+    keys = [
+        [(e.u, e.v, e.weight) for e in el.sorted_edges()]
+        for el in (
+            dual_tree_boruvka(ds, "kd", leaf_capacity=leaf_capacity),
+            dual_tree_boruvka(ds, "ball", leaf_capacity=leaf_capacity),
+            kruskal_mst(ds),
+        )
+    ]
+    assert keys[0] == keys[1] == keys[2]
+    BallTree(ds, leaf_capacity).audit()
 
 
 def test_matching_leaf_capacity_default():
