@@ -9,8 +9,7 @@ matrix.  That consistency is what lets independently-implemented MST and k-NN
 routines agree exactly instead of merely within tolerance.
 
 Ties between equal distances are broken by the normalized id pair, giving a
-total order on point pairs (`pair_less`); all neighbor and spanning-tree code
-shares it.
+total order on point pairs: weight, then min id, then max id.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ __all__ = [
     "sq_dists",
     "cross_sq_dists",
     "sqdist",
+    "check_sq_range",
     "make_edge",
     "pair_less",
     "fmt17",
@@ -43,6 +43,10 @@ DISTRIBUTIONS = ("uniform", "gaussian")
 # Element budget for one cross-distance diff temporary (~32 MB of float64);
 # chunking changes no computed bit since row reductions are batch-independent.
 _CROSS_CHUNK_ELEMS = 4_000_000
+
+# Largest accepted bound on a squared pair distance; the headroom absorbs the
+# rounding of the bound itself and of the einsum reduction.
+_SQ_LIMIT = float(np.finfo(np.float64).max) / 4.0
 
 
 class ParseError(ValueError):
@@ -73,6 +77,24 @@ def cross_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def sqdist(a: np.ndarray, b: np.ndarray) -> float:
     """Squared distance between two coordinate vectors."""
     return float(sq_dists(a[None, :], b)[0])
+
+
+def check_sq_range(coords: np.ndarray) -> None:
+    """Raise ValueError if a squared distance between two rows can overflow float64.
+
+    Every squared pair distance is at most the squared diagonal of the rows'
+    bounding box, so that is the bound checked.
+    """
+    if len(coords) < 2:
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        extent = coords.max(axis=0) - coords.min(axis=0)
+        bound = float(np.einsum("i,i->", extent, extent))
+    if not bound <= _SQ_LIMIT:
+        raise ValueError(
+            f"coordinates too far apart: squared pair distances can reach {bound:.3g}, "
+            "which overflows float64; rescale the dataset"
+        )
 
 
 def pair_less(w1: float, u1: int, v1: int, w2: float, u2: int, v2: int) -> bool:
@@ -236,7 +258,8 @@ def load_dataset(path, format: str = "csv") -> Dataset:
 
     A single leading non-numeric row is treated as a header and skipped.
     Rows must all have the same number of fields; d is inferred from the
-    first data row and ids are assigned in row order.
+    first data row and ids are assigned in row order.  A ragged row, a
+    non-numeric field or a NaN/infinite value raises ParseError naming it.
     """
     if format != "csv":
         raise ValueError(f"unsupported format {format!r}")
@@ -244,6 +267,7 @@ def load_dataset(path, format: str = "csv") -> Dataset:
         lines = fh.read().split("\n")
 
     rows: list[list[float]] = []
+    row_lines: list[int] = []
     d = None
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -268,10 +292,16 @@ def load_dataset(path, format: str = "csv") -> Dataset:
         elif len(values) != d:
             raise ParseError(f"ragged row {lineno}: expected {d} fields, got {len(values)}")
         rows.append(values)
+        row_lines.append(lineno)
 
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    return Dataset(np.array(rows, dtype=np.float64))
+    coords = np.array(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(coords))
+    if len(bad):
+        r, c = bad[0]
+        raise ParseError(f"non-finite value {coords[r, c]} at row {row_lines[r]}, column {c + 1}")
+    return Dataset(coords)
 
 
 def write_dataset(ds: Dataset, path, header: list[str] | None = None) -> None:

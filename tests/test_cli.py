@@ -62,6 +62,14 @@ class TestEmst:
         assert code == 1
         assert "row 2" in err
 
+    def test_non_finite_cell_names_row(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text("0,0\n1,0\nnan,5\n")
+        code, stdout, err = run_cli(capsys, "emst", "--in", str(data))
+        assert code == 1 and stdout == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "row 3, column 1" in err
+
     def test_stdout_without_out_flag(self, tmp_path, capsys):
         data = tmp_path / "pts.csv"
         data.write_text(THREE_POINTS)

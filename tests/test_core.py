@@ -149,6 +149,13 @@ class TestCsvIO:
         with pytest.raises(ParseError, match="row 2, column 2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_field_names_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "pts.csv"
+        path.write_text(f"x,y\n0,0\n1,2\n3,{cell}\n")
+        with pytest.raises(ParseError, match="non-finite value .* at row 4, column 2"):
+            load_dataset(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("")

@@ -12,14 +12,17 @@ from emstbench import (
     Edge,
     EdgeList,
     KdTree,
+    Point,
     dual_tree_boruvka,
     find_component_neighbors,
     format_edges,
+    generate_synthetic,
     kruskal_mst,
     naive_boruvka,
     validate_spanning_tree,
 )
 from emstbench.core import cross_sq_dists
+from emstbench.emst import _K, _naive_candidates
 from conftest import random_dataset
 
 
@@ -137,8 +140,6 @@ class TestFindComponentNeighbors:
             find_component_neighbors(tree, dsu)
 
     def test_rejects_ids_outside_disjoint_set(self, rng):
-        from emstbench import Point
-
         ds = random_dataset(rng, 10, 2)
         tree = KdTree(ds, 4)
         tree.insert(Point(10, rng.random(2)))
@@ -238,6 +239,169 @@ class TestOracleAgreement:
         kr = edge_key(kruskal_mst(ds))
         assert kd == ball == nv == kr
         assert all(w == 1.0 for _, _, w in kd)
+
+
+def mst_keys(ds, leaf_capacity):
+    return [
+        edge_key(dual_tree_boruvka(ds, "kd", leaf_capacity=leaf_capacity)),
+        edge_key(dual_tree_boruvka(ds, "ball", leaf_capacity=leaf_capacity)),
+        edge_key(kruskal_mst(ds)),
+    ]
+
+
+def boruvka_rounds(index, n):
+    """Run Boruvka over `index`, yielding (dsu, candidates) before each union."""
+    dsu = DisjointSet(n)
+    while dsu.component_count > 1:
+        candidates = find_component_neighbors(index, dsu)
+        yield dsu, candidates
+        for comp in sorted(candidates):
+            edge = candidates[comp]
+            dsu.union(edge.u, edge.v)
+
+
+class TestNeighborLists:
+    """Rounds answered from the cached k-NN lists, and the tree fallback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, _K + 1),
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_lists_holding_every_point_give_the_mst(self, n, d, leaf, seed):
+        ds = Dataset(np.random.default_rng(seed).random((n, d)))
+        kd, ball, kr = mst_keys(ds, leaf)
+        assert kd == ball == kr
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(_K + 2, 80),
+        st.integers(1, 3),
+        st.integers(1, 30),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_duplicate_heavy_sets_give_the_mst(self, sites, n, d, leaf, seed):
+        """More copies of a site than a list holds: the tree settles the rest."""
+        rng = np.random.default_rng(seed)
+        ds = Dataset(rng.random((sites, d))[rng.integers(0, sites, n)])
+        kd, ball, kr = mst_keys(ds, leaf)
+        assert kd == ball == kr
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 3),
+        st.integers(_K + 2, 90),
+        st.integers(1, 20),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_lattice_ties_at_the_last_entry_give_the_mst(self, d, n, leaf, seed):
+        """Integer lattices: the K-th list entry sits inside a run of equal weights."""
+        rng = np.random.default_rng(seed)
+        side = 5 if d == 2 else 3
+        cells = rng.permutation(side**d)[: min(n, side**d)]
+        coords = np.array(np.unravel_index(cells, (side,) * d), dtype=float).T
+        ds = Dataset(coords)
+        kd, ball, kr = mst_keys(ds, leaf)
+        assert kd == ball == kr
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(_K + 2, 150),
+        st.sampled_from([2, 3, 8, 15]),
+        st.floats(1.0, 4.0),
+        st.integers(1, 20),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_offset_sets_stress_the_fast_kernel_window(self, n, d, log_offset, leaf, seed):
+        """Far from the origin the float32 block error nears the neighbour gaps."""
+        rng = np.random.default_rng(seed)
+        ds = Dataset(10.0**log_offset + rng.random((n, d)))
+        kd, ball, kr = mst_keys(ds, leaf)
+        assert kd == ball == kr
+
+    @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+    def test_tie_between_last_entry_and_bound_goes_to_the_tree(self, backend_cls):
+        """A list ending at the bound's weight may hide a smaller id pair.
+
+        Point 0 sits at the origin of a 9-D lattice with its 18 unit
+        neighbours (ids 1-18) at weight 1, so its list holds ids 1-16.  Its
+        component also holds point 19, whose list starts with the weight-1
+        pair (19, 20).  The component's best edge is (0, 17), which only the
+        tree traversal can find.
+        """
+        unit = np.vstack([np.eye(9), -np.eye(9)])
+        far = np.zeros((2, 9))
+        far[:, 0] = [100.0, 101.0]
+        ds = Dataset(np.vstack([np.zeros((1, 9)), unit, far]))
+        dsu = DisjointSet(ds.n)
+        for i in list(range(1, 17)) + [19]:
+            dsu.union(0, i)
+        index = backend_cls(ds, 4)
+        got = find_component_neighbors(index, dsu)
+        assert got[dsu.find(0)] == Edge(0, 17, 1.0)
+        assert got == _naive_candidates(cross_sq_dists(ds.coords, ds.coords), dsu)
+        assert index._emst_engine.fallback_components >= 1
+
+    @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+    def test_mutation_after_a_round_rebuilds_the_lists(self, rng, backend_cls):
+        n = 120
+        ds = random_dataset(rng, n, 3)
+        index = backend_cls(ds, 6)
+        rounds = boruvka_rounds(index, n)
+        dsu, candidates = next(rounds)
+        for comp in sorted(candidates):
+            dsu.union(candidates[comp].u, candidates[comp].v)
+        # move some points: each id is deleted and inserted again elsewhere
+        for victim in rng.choice(n, size=10, replace=False).tolist():
+            index.delete(victim)
+            index.insert(Point(victim, rng.random(3) * 2.0))
+        got = find_component_neighbors(index, dsu)
+        sq = cross_sq_dists(index.coords[:n], index.coords[:n])
+        assert got == _naive_candidates(sq, dsu)
+
+    @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+    def test_no_tree_fallback_after_the_first_round_at_d15(self, backend_cls):
+        ds = generate_synthetic(2000, 15, "uniform", 7)
+        index = backend_cls(ds, 20)
+        counts = [index._emst_engine.fallback_components for _ in boruvka_rounds(index, ds.n)]
+        assert len(counts) >= 3
+        assert counts[1:] == [0] * (len(counts) - 1)
+
+    @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+    def test_duplicate_sites_send_components_to_the_tree(self, rng, backend_cls):
+        sites = rng.random((20, 3))
+        ds = Dataset(sites[rng.permutation(np.arange(600) % 20)])
+        index = backend_cls(ds, 20)
+        counts = [index._emst_engine.fallback_components for _ in boruvka_rounds(index, ds.n)]
+        assert counts[0] == 0 and sum(counts[1:]) > 0
+
+
+class TestOverflow:
+    ROUTES = {
+        "kd": lambda ds: dual_tree_boruvka(ds, "kd"),
+        "ball": lambda ds: dual_tree_boruvka(ds, "ball"),
+        "naive": naive_boruvka,
+        "kruskal": kruskal_mst,
+    }
+
+    def test_all_routes_reject_overflowing_distances_alike(self, rng):
+        ds = Dataset(rng.random((50, 3)) * 1e170)
+        messages = set()
+        for name, route in self.ROUTES.items():
+            with pytest.raises(ValueError, match="overflows float64") as info:
+                route(ds)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
+    def test_large_offset_with_small_spread_is_exact(self, rng):
+        """Squared norms overflow but pair distances do not: routes still agree."""
+        ds = Dataset(1e160 + rng.random((60, 3)) * 1e150)
+        keys = [edge_key(route(ds)) for route in self.ROUTES.values()]
+        assert keys[0] == keys[1] == keys[2] == keys[3]
+        assert all(math.isfinite(w) for _, _, w in keys[0])
 
 
 class TestBoruvkaStructure:
