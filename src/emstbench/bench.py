@@ -14,7 +14,7 @@ import json
 import platform
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -86,18 +86,7 @@ class BenchConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "sizes": list(self.sizes),
-            "dims": list(self.dims),
-            "distribution": self.distribution,
-            "seed": self.seed,
-            "trials": self.trials,
-            "knn_queries": self.knn_queries,
-            "knn_k": self.knn_k,
-            "mutation_count": self.mutation_count,
-            "operations": list(self.operations),
-            "backends": list(self.backends),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -140,13 +129,19 @@ def _draw(rng: np.random.Generator, count: int, d: int, distribution: str) -> np
     return rng.standard_normal((count, d))
 
 
-def _time_cell(fn, trials: int) -> list[float]:
-    fn()  # warmup, untimed
+def _time_cell(fn, trials: int, setup=lambda: None) -> list[float]:
+    """Milliseconds of `trials` calls fn(setup()) after one untimed warmup.
+
+    `setup` runs untimed before every call, so per-trial state (a fresh
+    tree to mutate) is not charged to the operation.
+    """
     values = []
-    for _ in range(trials):
+    for trial in range(trials + 1):
+        arg = setup()
         start = time.perf_counter()
-        fn()
-        values.append((time.perf_counter() - start) * 1000.0)
+        fn(arg)
+        if trial:  # trial 0 is the warmup
+            values.append((time.perf_counter() - start) * 1000.0)
     return values
 
 
@@ -198,52 +193,42 @@ def run_suite(cfg: BenchConfig) -> BenchmarkReport:
 def _run_cell(operation, backend, ds, insert_coords, delete_ids, query_coords, cfg) -> list[float]:
     tree_cls = BACKENDS[backend]
 
+    def fresh_tree():
+        return tree_cls(ds, _LEAF_CAPACITY)
+
     if operation == "build":
-        return _time_cell(lambda: tree_cls(ds, _LEAF_CAPACITY), cfg.trials)
+        return _time_cell(lambda _: fresh_tree(), cfg.trials)
 
     if operation == "insert":
         points = [Point(ds.n + j, row) for j, row in enumerate(insert_coords)]
 
-        def run_inserts():
-            tree = tree_cls(ds, _LEAF_CAPACITY)  # fresh tree per trial; build untimed
-            start = time.perf_counter()
+        def run_inserts(tree):
             for p in points:
                 tree.insert(p)
-            return (time.perf_counter() - start) * 1000.0
 
-        return _timed_values(run_inserts, cfg.trials)
+        return _time_cell(run_inserts, cfg.trials, fresh_tree)  # build untimed
 
     if operation == "delete":
 
-        def run_deletes():
-            tree = tree_cls(ds, _LEAF_CAPACITY)
-            start = time.perf_counter()
+        def run_deletes(tree):
             for i in delete_ids:
                 tree.delete(i)
-            return (time.perf_counter() - start) * 1000.0
 
-        return _timed_values(run_deletes, cfg.trials)
+        return _time_cell(run_deletes, cfg.trials, fresh_tree)
 
     if operation == "nn_search":
-        tree = tree_cls(ds, _LEAF_CAPACITY)
+        tree = fresh_tree()
 
-        def run_queries():
-            start = time.perf_counter()
+        def run_queries(_):
             for q in query_coords:
                 tree.knn(q, cfg.knn_k)
-            return (time.perf_counter() - start) * 1000.0
 
-        return _timed_values(run_queries, cfg.trials)
+        return _time_cell(run_queries, cfg.trials)
 
     if operation == "emst":
-        return _time_cell(lambda: dual_tree_boruvka(ds, backend, _LEAF_CAPACITY), cfg.trials)
+        return _time_cell(lambda _: dual_tree_boruvka(ds, backend, _LEAF_CAPACITY), cfg.trials)
 
     raise ValueError(f"unknown operation {operation!r}")
-
-
-def _timed_values(fn, trials: int) -> list[float]:
-    fn()  # warmup
-    return [fn() for _ in range(trials)]
 
 
 def _compute_ratios(records: list[TimingRecord]) -> list[RatioRecord]:
@@ -290,28 +275,8 @@ def emit_report(report: BenchmarkReport, format: str = "csv") -> str:
         obj = {
             "config": report.config,
             "environment": report.environment,
-            "records": [
-                {
-                    "backend": r.backend,
-                    "operation": r.operation,
-                    "n": r.n,
-                    "d": r.d,
-                    "elapsed_ms": r.elapsed_ms,
-                    "trial_values_ms": r.trial_values_ms,
-                    "trials": r.trials,
-                    "seed": r.seed,
-                }
-                for r in report.records
-            ],
-            "ratios": [
-                {
-                    "operation": rr.operation,
-                    "n": rr.n,
-                    "d": rr.d,
-                    "ball_over_kd": rr.ball_over_kd,
-                }
-                for rr in report.ratios
-            ],
+            "records": [asdict(r) for r in report.records],
+            "ratios": [asdict(rr) for rr in report.ratios],
         }
         return json.dumps(obj, indent=2) + "\n"
     raise ValueError(f"unknown report format {format!r}")

@@ -173,13 +173,14 @@ class Dataset:
         return f"Dataset(n={self.n}, d={self.d})"
 
 
-def _coords_of(p) -> np.ndarray:
+def coords_of(p) -> np.ndarray:
+    """The coordinate vector of a Point, or a raw sequence as float64."""
     return p.coords if isinstance(p, Point) else np.asarray(p, dtype=np.float64)
 
 
 def euclidean_distance(a, b) -> float:
     """Euclidean distance between two points (or raw coordinate vectors)."""
-    ca, cb = _coords_of(a), _coords_of(b)
+    ca, cb = coords_of(a), coords_of(b)
     if ca.shape[0] != cb.shape[0]:
         raise ValueError(
             f"dimension mismatch: {ca.shape[0]} vs {cb.shape[0]}"

@@ -129,16 +129,13 @@ class _NodeState:
         "coords32",
         "sqn32",
         "max_sqn",
-        "mins",
-        "maxs",
-        "center",
-        "radius",
+        "region",
         "roots",
         "comps",
         "comp",
     )
 
-    def __init__(self, node, base: bool):
+    def __init__(self, node, base: bool, region):
         self.node = node
         self.base = base
         self.left = None
@@ -151,40 +148,10 @@ class _NodeState:
         self.sqn32 = None
         self.max_sqn = 0.0
         # region geometry, snapshotted as plain Python data for cheap bounds
-        if hasattr(node, "mins"):
-            self.mins = node.mins.tolist()
-            self.maxs = node.maxs.tolist()
-            self.center = None
-            self.radius = 0.0
-        else:
-            self.mins = None
-            self.maxs = None
-            self.center = node.center.tolist()
-            self.radius = node.radius
+        self.region = region
         self.roots = None
         self.comps = None
         self.comp = -1
-
-
-def _box_min_sq(sa: _NodeState, sb: _NodeState) -> float:
-    total = 0.0
-    for amin, amax, bmin, bmax in zip(sa.mins, sa.maxs, sb.mins, sb.maxs):
-        gap = amin - bmax
-        other = bmin - amax
-        if other > gap:
-            gap = other
-        if gap > 0.0:
-            total += gap * gap
-    return total
-
-
-def _ball_min_sq(sa: _NodeState, sb: _NodeState) -> float:
-    total = 0.0
-    for ac, bc in zip(sa.center, sb.center):
-        diff = ac - bc
-        total += diff * diff
-    gap = math.sqrt(total) - sa.radius - sb.radius
-    return gap * gap if gap > 0.0 else 0.0
 
 
 class _DualTreeEngine:
@@ -197,10 +164,14 @@ class _DualTreeEngine:
     """
 
     def __init__(self, tree):
-        self.tree = tree
+        # no reference back to the index: the index holds the engine, and a
+        # cycle would keep both alive until the cyclic collector runs
         self.token = tree._mutations
         self.coords = tree.coords
-        self.min_sq = _box_min_sq if hasattr(tree.root, "mins") else _ball_min_sq
+        self.d = tree.d
+        # the index's region snapshot and node-pair lower bound on snapshots
+        self.region_of = tree._region
+        self.region_min_sq = tree._region_min_sq
         base_cap = max(_base_capacity(tree.d), tree.leaf_capacity)
         # Fast-kernel absolute error bounds per unit of (max|q|^2 + max|r|^2),
         # for the float32 and float64 block kernels respectively.
@@ -221,19 +192,19 @@ class _DualTreeEngine:
 
     def _snapshot(self, root, base_cap: int, live: list) -> _NodeState:
         def make(node) -> _NodeState:
-            if node.is_leaf or node.n_live <= base_cap:
-                state = _NodeState(node, base=True)
+            base = node.is_leaf or node.n_live <= base_cap
+            state = _NodeState(node, base, self.region_of(node))
+            if base:
                 ids = np.sort(np.array(node.collect_live_ids(), dtype=np.intp))
                 state.ids = ids
-                state.coords = self.coords[ids] if len(ids) else np.empty((0, self.tree.d))
+                state.coords = self.coords[ids] if len(ids) else np.empty((0, self.d))
                 state.sqn = np.einsum("ij,ij->i", state.coords, state.coords)
                 state.max_sqn = float(state.sqn.max()) if len(ids) else 0.0
                 if state.max_sqn < _FLOAT32_SCALE:
                     state.coords32 = state.coords.astype(np.float32)
                     state.sqn32 = state.sqn.astype(np.float32)
                 live.append(ids)
-                return state
-            return _NodeState(node, base=False)
+            return state
 
         root_state = make(root)
         stack = [root_state]
@@ -339,7 +310,7 @@ class _DualTreeEngine:
         # depth-first over node pairs, nearest child pair descended first;
         # an explicit stack (farthest pushed first) reproduces that order
         # without recursion-depth limits on lopsided trees
-        min_sq = self.min_sq
+        min_sq = self.region_min_sq
         bound = self.bound
         prune_at_zero = self.prune_at_zero
         stack = [(dmin, a, b)]
@@ -363,7 +334,7 @@ class _DualTreeEngine:
                 pairs = ((a.left, b), (a.right, b))
             elif a is b:
                 left, right = a.left, a.right
-                stack.append((min_sq(left, right), left, right))
+                stack.append((min_sq(left.region, right.region), left, right))
                 stack.append((0.0, right, right))
                 stack.append((0.0, left, left))
                 continue
@@ -375,7 +346,7 @@ class _DualTreeEngine:
                     (a.right, b.right),
                 )
             scored = sorted(
-                ((min_sq(x, y), i) for i, (x, y) in enumerate(pairs)), reverse=True
+                ((min_sq(x.region, y.region), i) for i, (x, y) in enumerate(pairs)), reverse=True
             )
             for d, i in scored:
                 stack.append((d, *pairs[i]))
@@ -604,10 +575,6 @@ def dual_tree_boruvka(
     return (result, rounds) if return_rounds else result
 
 
-def _pairwise_sq_matrix(ds: Dataset) -> np.ndarray:
-    return cross_sq_dists(ds.coords, ds.coords)
-
-
 def _naive_candidates(sq: np.ndarray, dsu: DisjointSet) -> dict[int, Edge]:
     """Each component's best outgoing edge by an exhaustive scan of `sq`."""
     n = len(sq)
@@ -639,7 +606,7 @@ def naive_boruvka(ds: Dataset, return_rounds: bool = False):
         result = EdgeList.from_edges([])
         return (result, 0) if return_rounds else result
     check_sq_range(ds.coords)
-    sq = _pairwise_sq_matrix(ds)
+    sq = cross_sq_dists(ds.coords, ds.coords)
     result, rounds = _run_boruvka(n, lambda dsu: _naive_candidates(sq, dsu))
     return (result, rounds) if return_rounds else result
 
@@ -653,7 +620,7 @@ def kruskal_mst(ds: Dataset) -> EdgeList:
     if n == 1:
         return EdgeList.from_edges([])
     check_sq_range(ds.coords)
-    sq = _pairwise_sq_matrix(ds)
+    sq = cross_sq_dists(ds.coords, ds.coords)
     iu, ju = np.triu_indices(n, 1)
     weights = sq[iu, ju]
     order = np.lexsort((ju, iu, weights))

@@ -1,0 +1,331 @@
+"""Shared spatial-index core: bookkeeping, insertion, deletion, exact k-NN, audit.
+
+`SpatialIndex` holds everything that does not depend on the shape of a
+node's region: the coordinate buffer indexed by id, the id -> leaf map, the
+top-down build loop, insertion, tombstone deletion with subtree rebuilds,
+best-first k-NN and the structural audit.  A concrete index supplies only
+its geometry, following the tree / prune-rule / base-case split of Curtin
+et al., "Tree-Independent Dual-Tree Algorithms" (ICML 2013):
+
+* the index: `_make_node(ids)` (a node bounding those points), `_split(node,
+  ids)` (the two child id sets), `_audit_region(node)` (its own audit
+  checks), and for the EMST engine `_region(node)` (a plain-Python snapshot
+  of a region) with `_region_min_sq(a, b)` (squared lower bound between two
+  snapshots);
+* the node: `min_sqdist_point(c)`, `child_for(c)` (the child an inserted
+  point descends into), `include(c, alone)` (grow the region to take c in;
+  `alone` when c is its only point) and `empty_copy()` (the empty leaf that
+  replaces a subtree whose points are all deleted).
+
+Deletion is lazy: the id is dropped from its leaf and counted as a
+tombstone; once tombstones outnumber live points anywhere on the
+root-to-leaf path, that whole subtree is rebuilt from its live points.
+Regions only ever grow between rebuilds, so they stay valid (if loose)
+under any mutation sequence.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+
+import numpy as np
+
+from .core import Dataset, Point, coords_of, sq_dists
+
+__all__ = ["IndexNode", "SpatialIndex"]
+
+# Relative slack applied before discarding a node during search: rounding in
+# the bound arithmetic must never prune a point that ties the k-th best.
+_PRUNE_EPS = 1e-12
+
+
+class IndexNode:
+    """One index node; a leaf iff `ids` is not None.  Subclasses add the region."""
+
+    __slots__ = ("parent", "left", "right", "ids", "n_live", "n_tomb", "_arr")
+
+    def __init__(self):
+        self.parent = None
+        self.left = None
+        self.right = None
+        self.ids: list[int] | None = None
+        self.n_live = 0
+        self.n_tomb = 0
+        self._arr = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.ids is not None
+
+    def ids_array(self) -> np.ndarray:
+        if self._arr is None:
+            self._arr = np.array(self.ids, dtype=np.intp)
+        return self._arr
+
+    def collect_live_ids(self) -> list[int]:
+        out: list[int] = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                out.extend(node.ids)
+            else:
+                stack.append(node.right)
+                stack.append(node.left)
+        return out
+
+
+class SpatialIndex:
+    """Binary space-partitioning index supporting insert, delete, and exact k-NN.
+
+    Point coordinates live in a private growable buffer indexed by id, so
+    inserted points may carry any id not currently live (fresh ids should be
+    kept reasonably dense, e.g. n, n+1, ...).  Concurrent reads are safe;
+    mutations need exclusive access.
+    """
+
+    def __init__(self, dataset: Dataset, leaf_capacity: int = 20):
+        if leaf_capacity < 1:
+            raise ValueError(f"leaf_capacity must be >= 1, got {leaf_capacity}")
+        self.dataset = dataset
+        self.leaf_capacity = leaf_capacity
+        self.d = dataset.d
+        self._coords = np.array(dataset.coords)  # row index == point id
+        self._leaf_of: dict[int, IndexNode] = {}
+        self._mutations = 0
+        self.root = self._build(np.arange(dataset.n, dtype=np.intp))
+
+    # -- properties ---------------------------------------------------------
+
+    @property
+    def size(self) -> int:
+        return self.root.n_live
+
+    @property
+    def tombstones(self) -> int:
+        return self.root.n_tomb
+
+    @property
+    def coords(self) -> np.ndarray:
+        return self._coords
+
+    def live_ids(self) -> list[int]:
+        return self.root.collect_live_ids()
+
+    def depth(self) -> int:
+        """Maximum number of edges on a root-to-leaf path."""
+        best = 0
+        stack = [(self.root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            if node.is_leaf:
+                best = max(best, depth)
+            else:
+                stack.append((node.left, depth + 1))
+                stack.append((node.right, depth + 1))
+        return best
+
+    # -- construction -------------------------------------------------------
+
+    def _build(self, ids: np.ndarray) -> IndexNode:
+        # iterative: splits can be arbitrarily lopsided, so the work stack
+        # keeps pathological inputs off the Python call stack
+        root = self._make_node(ids)
+        root.n_live = len(ids)
+        stack = [(root, ids)]
+        while stack:
+            node, ids = stack.pop()
+            if len(ids) <= self.leaf_capacity:
+                node.ids = ids.tolist()
+                for i in node.ids:
+                    self._leaf_of[i] = node
+                continue
+            left_ids, right_ids = self._split(node, ids)
+            node.left, node.right = self._make_node(left_ids), self._make_node(right_ids)
+            for child, child_ids in ((node.left, left_ids), (node.right, right_ids)):
+                child.n_live = len(child_ids)
+                child.parent = node
+                stack.append((child, child_ids))
+        return root
+
+    # -- mutation -----------------------------------------------------------
+
+    def insert(self, p: Point) -> None:
+        """Insert a point, growing every region on its path; splits an overflowing leaf."""
+        c = p.coords
+        if c.shape[0] != self.d:
+            raise ValueError(f"dimension mismatch: tree is {self.d}-D, point is {c.shape[0]}-D")
+        if p.id in self._leaf_of:
+            raise ValueError(f"id {p.id} is already live in the tree")
+        self._store_coords(p.id, c)
+
+        node = self.root
+        while True:
+            node.n_live += 1
+            node.include(c, node.is_leaf and node.n_live == 1)
+            if node.is_leaf:
+                break
+            node = node.child_for(c)
+
+        node.ids.append(p.id)
+        node._arr = None
+        self._leaf_of[p.id] = node
+        if len(node.ids) > self.leaf_capacity:
+            self._replace_subtree(node, np.array(node.ids, dtype=np.intp))
+        self._mutations += 1
+
+    def delete(self, point_id: int) -> None:
+        """Remove a live id; rebuilds any subtree that drops below half live."""
+        leaf = self._leaf_of.pop(point_id, None)
+        if leaf is None:
+            raise KeyError(f"id {point_id} is not live in the tree")
+        leaf.ids.remove(point_id)
+        leaf._arr = None
+        trigger = None
+        node = leaf
+        while node is not None:
+            node.n_live -= 1
+            node.n_tomb += 1
+            if node.n_tomb > node.n_live:
+                trigger = node
+            node = node.parent
+        if trigger is not None:
+            live = np.array(trigger.collect_live_ids(), dtype=np.intp)
+            self._replace_subtree(trigger, live)
+        self._mutations += 1
+
+    def _store_coords(self, point_id: int, c: np.ndarray) -> None:
+        if point_id >= self._coords.shape[0]:
+            grow = max(2 * self._coords.shape[0], point_id + 1)
+            fresh = np.empty((grow, self.d))
+            fresh[: self._coords.shape[0]] = self._coords
+            self._coords = fresh
+        self._coords[point_id] = c
+
+    def _replace_subtree(self, old: IndexNode, live: np.ndarray) -> None:
+        """Rebuild `old` from `live` ids and splice the result into its place."""
+        if len(live):
+            fresh = self._build(live)
+        else:
+            fresh = old.empty_copy()
+            fresh.ids = []
+        removed_tombs = old.n_tomb
+        parent = old.parent
+        fresh.parent = parent
+        if parent is None:
+            self.root = fresh
+        elif parent.left is old:
+            parent.left = fresh
+        else:
+            parent.right = fresh
+        while parent is not None:
+            parent.n_tomb -= removed_tombs
+            parent = parent.parent
+        self._mutations += 1
+
+    # -- search -------------------------------------------------------------
+
+    def knn(self, q, k: int) -> list[tuple[int, float]]:
+        """The exact k nearest live points to q, ascending by (distance, id).
+
+        Raises ValueError for a non-finite query, and when a distance in the
+        answer overflows float64: such distances all read inf, so their
+        order, and which points they are, would be arbitrary.
+        """
+        c = coords_of(q)
+        if c.shape[0] != self.d:
+            raise ValueError(f"dimension mismatch: tree is {self.d}-D, query is {c.shape[0]}-D")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if not np.isfinite(c).all():
+            raise ValueError("query has non-finite coordinates")
+        if self.root.n_live == 0:
+            return []
+
+        heap: list[tuple[float, int]] = []  # (-sqdist, -id): root of heap = current worst
+        stack = [(0.0, self.root)]  # (bound, node); nearer child pushed last, popped first
+        while stack:
+            dist, node = stack.pop()
+            if len(heap) == k and dist * (1.0 - _PRUNE_EPS) > -heap[0][0]:
+                continue
+            if node.is_leaf:
+                if not node.ids:
+                    continue
+                arr = node.ids_array()
+                sqs = sq_dists(self._coords[arr], c)
+                if len(heap) < k:
+                    for sq, i in zip(sqs.tolist(), node.ids):
+                        if len(heap) < k:
+                            heapq.heappush(heap, (-sq, -i))
+                        elif (sq, i) < (-heap[0][0], -heap[0][1]):
+                            heapq.heapreplace(heap, (-sq, -i))
+                else:
+                    worst = -heap[0][0]
+                    for j in np.nonzero(sqs <= worst)[0].tolist():
+                        sq = float(sqs[j])
+                        i = node.ids[j]
+                        if (sq, i) < (-heap[0][0], -heap[0][1]):
+                            heapq.heapreplace(heap, (-sq, -i))
+                continue
+            near, far = node.left, node.right
+            dn = near.min_sqdist_point(c) if near.n_live else math.inf
+            df = far.min_sqdist_point(c) if far.n_live else math.inf
+            if df < dn:
+                near, far = far, near
+                dn, df = df, dn
+            if far.n_live:
+                stack.append((df, far))
+            if near.n_live:
+                stack.append((dn, near))
+
+        if -heap[0][0] == math.inf:
+            raise ValueError(
+                "squared distances from the query overflow float64; rescale the data and query"
+            )
+        out = [(-i, math.sqrt(-negsq)) for negsq, i in heap]
+        out.sort(key=lambda t: (t[1], t[0]))
+        return out
+
+    # -- verification -------------------------------------------------------
+
+    def audit(self) -> None:
+        """Walk the whole tree and verify every structural invariant.
+
+        Raises AssertionError on the first violation; used by tests after
+        mutation sequences.  Counts, parent links, leaf capacity and the id
+        index are checked here; `_audit_region` checks each node's region.
+        """
+        seen: dict[int, IndexNode] = {}
+
+        def walk(node: IndexNode) -> tuple[int, int]:
+            self._audit_region(node)
+            if node.is_leaf:
+                if len(node.ids) > self.leaf_capacity:
+                    raise AssertionError(f"leaf holds {len(node.ids)} > capacity {self.leaf_capacity}")
+                if node.n_live != len(node.ids):
+                    raise AssertionError("leaf live count out of sync with its id list")
+                for i in node.ids:
+                    if i in seen:
+                        raise AssertionError(f"id {i} appears in more than one leaf")
+                    seen[i] = node
+                return node.n_live, node.n_tomb
+            for child in (node.left, node.right):
+                if child.parent is not node:
+                    raise AssertionError("broken parent link")
+            ll, lt = walk(node.left)
+            rl, rt = walk(node.right)
+            if node.n_live != ll + rl:
+                raise AssertionError("internal live count != sum of children")
+            if node.n_tomb != lt + rt:
+                raise AssertionError("internal tombstone count != sum of children")
+            return node.n_live, node.n_tomb
+
+        walk(self.root)
+        if seen.keys() != self._leaf_of.keys():
+            raise AssertionError("leaf contents out of sync with the id index")
+        for i, leaf in seen.items():
+            if self._leaf_of[i] is not leaf:
+                raise AssertionError(f"id index points id {i} at the wrong leaf")
+        if self.size != len(seen):
+            raise AssertionError("tree size out of sync with live ids")

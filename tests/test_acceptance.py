@@ -156,6 +156,7 @@ def test_criterion_3_single_linkage_equivalence():
           f"{label_checks} (dataset, k) pairs, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_4_build_time_ratio():
     """Ball-tree construction is markedly slower than kd at n>=10000, d=50."""
     start = time.perf_counter()
@@ -179,6 +180,7 @@ def test_criterion_4_build_time_ratio():
           f"{ratios[10000]:.2f} (n=10000), {ratios[25000]:.2f} (n=25000) at d=50, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5_kd_emst_not_slower():
     """End-to-end EMST (build + rounds): kd backend <= ball at n=20000."""
     medians = {}
@@ -201,6 +203,7 @@ def test_criterion_5_kd_emst_not_slower():
           + ", ".join(f"d={d}: {m[0]:.2f}s vs {m[1]:.2f}s" for d, m in medians.items()))
 
 
+@pytest.mark.slow
 def test_criterion_6_subquadratic_scaling():
     """Doubling n at d=3 grows kd EMST time by less than 3x."""
     sets = {n: generate_synthetic(n, 3, "uniform", MASTER_SEED) for n in (10000, 20000)}

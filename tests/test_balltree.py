@@ -171,6 +171,16 @@ class TestKnn:
             tree.knn([0.0], 1)
 
 
+def test_audit_catches_a_shrunk_radius(rng):
+    tree = BallTree(random_dataset(rng, 60, 2), leaf_capacity=4)
+    leaf = tree._leaf_of[0]
+    tree.audit()
+    assert leaf.radius > 0.0
+    leaf.radius *= 0.5  # the leaf's farthest point now lies outside its ball
+    with pytest.raises(AssertionError, match="escapes"):
+        tree.audit()
+
+
 class TestMutation:
     def test_insert_splits_singleton(self):
         tree = make_tree([[0.0, 0.0]], leaf_capacity=1)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -369,6 +371,18 @@ class TestNeighborLists:
         counts = [index._emst_engine.fallback_components for _ in boruvka_rounds(index, ds.n)]
         assert len(counts) >= 3
         assert counts[1:] == [0] * (len(counts) - 1)
+
+    @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+    def test_engine_dies_with_its_index_without_the_cyclic_collector(self, rng, backend_cls):
+        index = backend_cls(random_dataset(rng, 200, 3), 8)
+        gc.disable()
+        try:
+            find_component_neighbors(index, DisjointSet(200))
+            engine = weakref.ref(index._emst_engine)
+            del index
+            assert engine() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
     def test_duplicate_sites_send_components_to_the_tree(self, rng, backend_cls):

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emstbench import BoundingBox, Dataset, KdTree, Point, box_min_distance
+from emstbench import BallTree, BoundingBox, Dataset, KdTree, Point, box_min_distance
 from conftest import brute_knn, random_dataset
 
+# the contract both indexes share is tested on both
+both_indexes = pytest.mark.parametrize("index_cls", [KdTree, BallTree])
 
-def make_tree(coords, leaf_capacity=20):
-    return KdTree(Dataset(np.asarray(coords, dtype=np.float64)), leaf_capacity)
+
+def make_tree(coords, leaf_capacity=20, index_cls=KdTree):
+    return index_cls(Dataset(np.asarray(coords, dtype=np.float64)), leaf_capacity)
 
 
 class TestBuild:
@@ -101,8 +104,9 @@ class TestKnn:
             q = rng.random(15)
             assert tree.knn(q, 5) == brute_knn(tree.coords, range(1000), q, 5)
 
-    def test_ties_break_by_id(self):
-        tree = make_tree([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], leaf_capacity=1)
+    @both_indexes
+    def test_ties_break_by_id(self, index_cls):
+        tree = make_tree([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], 1, index_cls)
         result = tree.knn([0.0, 0.0], 4)
         assert [i for i, _ in result] == [0, 1, 2, 3]
 
@@ -111,8 +115,9 @@ class TestKnn:
         with pytest.raises(ValueError, match="dimension"):
             tree.knn([0.0, 0.0], 1)
 
-    def test_invalid_k(self, rng):
-        tree = KdTree(random_dataset(rng, 5, 2))
+    @both_indexes
+    def test_invalid_k(self, rng, index_cls):
+        tree = index_cls(random_dataset(rng, 5, 2))
         with pytest.raises(ValueError, match="k must be"):
             tree.knn([0.0, 0.0], 0)
 
@@ -149,8 +154,9 @@ class TestInsert:
         assert [tree.knn(q, 4) for q in queries] == before
         tree.audit()
 
-    def test_duplicate_id_rejected(self, rng):
-        tree = KdTree(random_dataset(rng, 5, 2))
+    @both_indexes
+    def test_duplicate_id_rejected(self, rng, index_cls):
+        tree = index_cls(random_dataset(rng, 5, 2))
         with pytest.raises(ValueError, match="already live"):
             tree.insert(Point(3, [0.5, 0.5]))
 
@@ -178,16 +184,18 @@ class TestDelete:
         assert tree.knn(rng.random(3), 5) == []
         tree.audit()
 
-    def test_unknown_id_raises(self, rng):
-        tree = KdTree(random_dataset(rng, 4, 2))
+    @both_indexes
+    def test_unknown_id_raises(self, rng, index_cls):
+        tree = index_cls(random_dataset(rng, 4, 2))
         with pytest.raises(KeyError):
             tree.delete(17)
         tree.delete(2)
         with pytest.raises(KeyError):
             tree.delete(2)
 
-    def test_reinsert_after_delete(self, rng):
-        tree = KdTree(random_dataset(rng, 10, 2), leaf_capacity=2)
+    @both_indexes
+    def test_reinsert_after_delete(self, rng, index_cls):
+        tree = index_cls(random_dataset(rng, 10, 2), leaf_capacity=2)
         tree.delete(4)
         tree.insert(Point(4, rng.random(2)))
         assert tree.size == 10
@@ -212,8 +220,47 @@ class TestDelete:
         tree.audit()
 
 
-def test_audit_catches_corruption(rng):
-    tree = KdTree(random_dataset(rng, 60, 2), leaf_capacity=4)
+@both_indexes
+def test_audit_catches_corruption(rng, index_cls):
+    tree = index_cls(random_dataset(rng, 60, 2), leaf_capacity=4)
     tree.root.n_live += 1
     with pytest.raises(AssertionError):
         tree.audit()
+
+
+def test_audit_catches_a_shrunk_box(rng):
+    tree = KdTree(random_dataset(rng, 60, 2), leaf_capacity=4)
+    leaf = tree.root
+    while not leaf.is_leaf:
+        leaf = leaf.left
+    tree.audit()
+    leaf.maxs = leaf.maxs - 1e-6  # a point on the box's upper face now escapes it
+    with pytest.raises(AssertionError, match="escapes"):
+        tree.audit()
+
+
+class TestKnnRange:
+    """k-NN on coordinates near the float64 limits, on both indexes."""
+
+    @both_indexes
+    def test_overflowing_distances_raise(self, rng, index_cls):
+        ds = Dataset(rng.random((50, 3)) * 1e170)
+        tree = index_cls(ds, 5)
+        with pytest.raises(ValueError, match="overflow"):
+            tree.knn(ds.coords[7], 3)
+        assert tree.knn(ds.coords[7], 1) == [(7, 0.0)]  # an exact answer still comes back
+
+    @both_indexes
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_query_rejected(self, rng, index_cls, bad):
+        tree = index_cls(random_dataset(rng, 20, 3))
+        with pytest.raises(ValueError, match="non-finite"):
+            tree.knn([0.5, bad, 0.5], 2)
+
+    @both_indexes
+    def test_large_offset_with_small_spread_is_exact(self, rng, index_cls):
+        ds = Dataset(1e150 + rng.random((200, 3)) * 1e140)
+        tree = index_cls(ds, 6)
+        for _ in range(20):
+            q = 1e150 + rng.random(3) * 1e140
+            assert tree.knn(q, 5) == brute_knn(ds.coords, range(200), q, 5)
