@@ -9,10 +9,13 @@ half-extent along the cut axis plus the node's squared half-extents on every
 other axis.  A split therefore shrinks the child's whole ball, not just one
 axis, so the tree does not slice an already thin axis into slabs whose balls
 stay as wide as the parent's (Omohundro, ICSI TR-89-063; Moore, UAI 2000).
-Insertion descends toward the nearer child center and inflates radii on the
-way down.  Everything else (tombstone deletion with subtree rebuilds, exact
-k-NN, the shared audit checks) lives in `index.SpatialIndex`, so the
-ball-tree and the kd-tree differ only in their bounds.
+Each node keeps the region snapshot ``(center, radius)`` (the center as a
+Python float list) that k-NN, insertion and the EMST engine read; the radius
+is always a canonical-kernel distance, the value `audit` checks.  Insertion
+descends toward the nearer child center and inflates radii on the way down.
+Everything else (tombstone deletion with subtree rebuilds, exact k-NN, the
+shared audit checks) lives in `index.SpatialIndex`, so the ball-tree and
+the kd-tree differ only in their bounds.
 """
 
 from __future__ import annotations
@@ -48,9 +51,15 @@ def choose_split(point_ids, data) -> SplitChoice:
     + m * (sum_k h_k^2 - h_dim^2): each side is charged its count times its
     squared half-diagonal, with the child's extent measured along `dim` and
     the node's own extent on every other axis.  Ties go to
-    the lowest dimension, then the lowest boundary position.  When all points
-    are coordinate-identical there is no real boundary; the returned choice
-    has cost 0 and callers fall back to a half/half split by id.
+    the lowest dimension, then the lowest boundary position.  Costs are
+    compared with every half-extent scaled by the power of two that brings
+    the largest into [1/2, 1), so they cannot overflow at any coordinate
+    scale.  Scaling by a power of two is exact, so wherever the unscaled
+    costs neither overflow nor underflow it picks the same boundary; the
+    returned cost is in the data's own units (inf when that overflows).
+    When all points are coordinate-identical there is no real boundary; the
+    returned choice has cost 0 and callers fall back to a half/half split
+    by id.
     """
     coords = data.coords if isinstance(data, Dataset) else np.asarray(data)
     ids = np.asarray(point_ids, dtype=np.intp)
@@ -58,7 +67,11 @@ def choose_split(point_ids, data) -> SplitChoice:
     if m < 2:
         raise ValueError(f"choose_split needs at least 2 points, got {m}")
     pts = coords[ids]
-    half_sq = ((pts.max(axis=0) - pts.min(axis=0)) * 0.5) ** 2
+    extent = pts.max(axis=0) - pts.min(axis=0)
+    # half-extents times 2**-e lie below 1, so their squares times m stay finite
+    e = math.frexp(max(extent.tolist()) * 0.5)[1]
+    unit = math.ldexp(0.5, -e)
+    half_sq = (extent * unit) ** 2
     total_sq = float(half_sq.sum())
     best: tuple[float, int, float] | None = None  # (cost, dim, value)
     n_left = np.arange(1, m, dtype=np.float64)
@@ -68,8 +81,8 @@ def choose_split(point_ids, data) -> SplitChoice:
         valid = vals[1:] > vals[:-1]
         if not valid.any():
             continue
-        half_left = (vals[:-1] - vals[0]) * 0.5
-        half_right = (vals[-1] - vals[1:]) * 0.5
+        half_left = (vals[:-1] - vals[0]) * unit
+        half_right = (vals[-1] - vals[1:]) * unit
         cost = half_left * half_left * n_left + half_right * half_right * n_right
         cost += m * (total_sq - float(half_sq[dim]))
         cost[~valid] = np.inf
@@ -82,7 +95,11 @@ def choose_split(point_ids, data) -> SplitChoice:
             best = (c, dim, float(value))
     if best is None:
         return SplitChoice(0, float(coords[ids[0], 0]), 0.0)
-    return SplitChoice(best[1], best[2], best[0])
+    try:
+        cost = math.ldexp(best[0], 2 * e)
+    except OverflowError:
+        cost = math.inf
+    return SplitChoice(best[1], best[2], cost)
 
 
 def ball_min_distance(node, q) -> float:
@@ -104,32 +121,43 @@ def _ball_min_sq(a, b) -> float:
 
 
 class BallNode(IndexNode):
-    """One ball-tree node: a center and a radius covering its live points."""
+    """One ball-tree node: a center and a radius covering its live points.
 
-    __slots__ = ("center", "radius")
+    `center` is an array for the canonical kernel; the region snapshot
+    ``(center as a list, radius)`` holds the radius, read and set through
+    the `radius` property.
+    """
+
+    __slots__ = ("center",)
 
     def __init__(self, center: np.ndarray, radius: float):
-        super().__init__()
+        super().__init__((center.tolist(), radius))
         self.center = center
-        self.radius = radius
 
-    def min_sqdist_point(self, c: np.ndarray) -> float:
-        b = math.sqrt(sqdist(c, self.center)) - self.radius
-        return b * b if b > 0.0 else 0.0
+    @property
+    def radius(self) -> float:
+        return self.region[1]
+
+    @radius.setter
+    def radius(self, value: float) -> None:
+        self.region = (self.region[0], value)
 
     def child_for(self, c: np.ndarray) -> BallNode:
-        dl = sqdist(c, self.left.center)
-        dr = sqdist(c, self.right.center)
+        cl = c.tolist()
+        dl = dr = 0.0
+        for x, lc, rc in zip(cl, self.left.region[0], self.right.region[0]):
+            dl += (x - lc) * (x - lc)
+            dr += (x - rc) * (x - rc)
         return self.left if dl <= dr else self.right
 
     def include(self, c: np.ndarray, alone: bool) -> None:
         if alone:
             self.center = c.copy()
-            self.radius = 0.0
+            self.region = (c.tolist(), 0.0)
         else:
             dist = math.sqrt(sqdist(c, self.center))
-            if dist > self.radius:
-                self.radius = dist
+            if dist > self.region[1]:
+                self.region = (self.region[0], dist)
 
     def empty_copy(self) -> BallNode:
         return BallNode(self.center, 0.0)
@@ -155,11 +183,11 @@ class BallTree(SpatialIndex):
             left_ids, right_ids = ordered[:half], ordered[half:]
         return left_ids, right_ids
 
-    @staticmethod
-    def _region(node: BallNode):
-        return node.center.tolist(), node.radius
-
     _region_min_sq = staticmethod(_ball_min_sq)
+
+    @staticmethod
+    def _point_region(c: list) -> tuple:
+        return c, 0.0
 
     def _audit_region(self, node: BallNode) -> None:
         live = node.collect_live_ids()

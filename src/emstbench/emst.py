@@ -27,6 +27,16 @@ norms + matrix-product kernel, which is fast but not bitwise-canonical, so
 candidates are re-derived with the canonical kernel among everything within
 a rigorous floating-point error window.  Weights stored and compared are
 therefore always canonical.
+
+The fast kernel works on coordinates minus one centre, the midpoint of the
+live points' bounding box, so its error window err * (max|q|^2 + max|r|^2)
+scales with the data's spread, not with its distance from the origin; the
+canonical kernel keeps the raw coordinates.  Centring rounds each coordinate
+once: x' = (x - m)(1 + e) with |e| <= 2**-53 per axis, so the centred
+difference of two points is off by at most 2**-53 (|x - m| + |y - m|) and
+their squared distance by at most 4 * 2**-53 * (|x'|^2 + |y'|^2) up to a
+factor 1 + O(2**-52).  Both windows carry a separate 2**-50 per unit of
+scale for it, twice that bound, so the centring round-off stays inside err.
 """
 
 from __future__ import annotations
@@ -59,6 +69,10 @@ _K = 16  # nearest neighbours cached per point across Boruvka rounds
 # the first, float64 below the second, the canonical kernel above it
 _FLOAT32_SCALE = 1e30
 _FLOAT64_SCALE = 1e300
+# centring on the data rounds each coordinate once, which moves a squared
+# distance by at most 4 * 2**-53 * (1 + O(2**-52)) per unit of scale; this is
+# twice that (module docstring)
+_CENTRING_ERR = 2.0 ** -50
 
 
 class DisjointSet:
@@ -124,9 +138,9 @@ class _NodeState:
         "right",
         "n_live",
         "ids",
-        "coords",
+        "fast",
         "sqn",
-        "coords32",
+        "fast32",
         "sqn32",
         "max_sqn",
         "region",
@@ -135,20 +149,22 @@ class _NodeState:
         "comp",
     )
 
-    def __init__(self, node, base: bool, region):
+    def __init__(self, node, base: bool):
         self.node = node
         self.base = base
         self.left = None
         self.right = None
         self.n_live = node.n_live
         self.ids = None
-        self.coords = None
+        # fast-kernel copies (float64 and, below _FLOAT32_SCALE, float32) of
+        # the points minus the engine's centre, with their squared norms
+        self.fast = None
         self.sqn = None
-        self.coords32 = None
+        self.fast32 = None
         self.sqn32 = None
         self.max_sqn = 0.0
-        # region geometry, snapshotted as plain Python data for cheap bounds
-        self.region = region
+        # the node's plain-Python region snapshot, read by the pair bound
+        self.region = node.region
         self.roots = None
         self.comps = None
         self.comp = -1
@@ -169,41 +185,39 @@ class _DualTreeEngine:
         self.token = tree._mutations
         self.coords = tree.coords
         self.d = tree.d
-        # the index's region snapshot and node-pair lower bound on snapshots
-        self.region_of = tree._region
+        # the index's lower bound between two nodes' region snapshots
         self.region_min_sq = tree._region_min_sq
         base_cap = max(_base_capacity(tree.d), tree.leaf_capacity)
         # Fast-kernel absolute error bounds per unit of (max|q|^2 + max|r|^2),
-        # for the float32 and float64 block kernels respectively.
-        self.err32 = 8.0 * tree.d * 2.0 ** -24
-        self.err64 = 8.0 * tree.d * 2.0 ** -53
-        live: list[np.ndarray] = []
-        self.root = self._snapshot(tree.root, base_cap, live)
+        # for the float32 and float64 block kernels respectively, each plus
+        # the centring round-off (see the module docstring).
+        self.err32 = 8.0 * tree.d * 2.0 ** -24 + _CENTRING_ERR
+        self.err64 = 8.0 * tree.d * 2.0 ** -53 + _CENTRING_ERR
+        bases: list[_NodeState] = []
+        self.root = self._snapshot(tree.root, base_cap, bases)
+        live = [s.ids for s in bases]
         self.live = np.sort(np.concatenate(live)) if live else np.empty(0, dtype=np.intp)
         self.max_id = int(self.live[-1]) if len(self.live) else -1
-        check_sq_range(self.coords[self.live])
+        live_coords = self.coords[self.live]
+        check_sq_range(live_coords)
+        self._fill_fast(bases, live_coords)
         # row r holds live point live[r]: canonical squared weights and ids of
         # its `_K` nearest other points, ascending by (weight, id); inf / -1
         # pad short lists
         self.knn_w = None
         self.knn_id = None
+        # canonical weights the k-NN list pass computed
+        self.knn_rederived = 0
         # components the last round sent to the tree traversal
         self.fallback_components = 0
 
-    def _snapshot(self, root, base_cap: int, live: list) -> _NodeState:
+    def _snapshot(self, root, base_cap: int, bases: list) -> _NodeState:
         def make(node) -> _NodeState:
             base = node.is_leaf or node.n_live <= base_cap
-            state = _NodeState(node, base, self.region_of(node))
+            state = _NodeState(node, base)
             if base:
-                ids = np.sort(np.array(node.collect_live_ids(), dtype=np.intp))
-                state.ids = ids
-                state.coords = self.coords[ids] if len(ids) else np.empty((0, self.d))
-                state.sqn = np.einsum("ij,ij->i", state.coords, state.coords)
-                state.max_sqn = float(state.sqn.max()) if len(ids) else 0.0
-                if state.max_sqn < _FLOAT32_SCALE:
-                    state.coords32 = state.coords.astype(np.float32)
-                    state.sqn32 = state.sqn.astype(np.float32)
-                live.append(ids)
+                state.ids = np.sort(np.array(node.collect_live_ids(), dtype=np.intp))
+                bases.append(state)
             return state
 
         root_state = make(root)
@@ -217,6 +231,22 @@ class _DualTreeEngine:
             stack.append(state.left)
             stack.append(state.right)
         return root_state
+
+    def _fill_fast(self, bases: list, live_coords: np.ndarray) -> None:
+        """Fast-kernel copies of every base node, centred on the live bounding box."""
+        if not len(live_coords):
+            return
+        lo, hi = live_coords.min(axis=0), live_coords.max(axis=0)
+        centre = lo + (hi - lo) / 2.0
+        for state in bases:
+            if not len(state.ids):
+                continue  # never visited: the traversal skips empty nodes
+            state.fast = self.coords[state.ids] - centre
+            state.sqn = np.einsum("ij,ij->i", state.fast, state.fast)
+            state.max_sqn = float(state.sqn.max())
+            if state.max_sqn < _FLOAT32_SCALE:
+                state.fast32 = state.fast.astype(np.float32)
+                state.sqn32 = state.sqn.astype(np.float32)
 
     def run_round(self, roots_all: np.ndarray, cand_sq, cand_u, cand_v) -> None:
         if self.knn_w is None:
@@ -356,14 +386,14 @@ class _DualTreeEngine:
         scale = qs.max_sqn + rs.max_sqn
         if scale < _FLOAT32_SCALE:
             w = qs.sqn32[:, None] + rs.sqn32[None, :]
-            w -= 2.0 * (qs.coords32 @ rs.coords32.T)
+            w -= 2.0 * (qs.fast32 @ rs.fast32.T)
             return w, self.err32 * scale
         if scale < _FLOAT64_SCALE:
             w = qs.sqn[:, None] + rs.sqn[None, :]
-            w -= 2.0 * (qs.coords @ rs.coords.T)
+            w -= 2.0 * (qs.fast @ rs.fast.T)
             return w, self.err64 * scale
         # squared norms near overflow: the canonical kernel, exact by definition
-        return cross_sq_dists(qs.coords, rs.coords), 0.0
+        return cross_sq_dists(self.coords[qs.ids], self.coords[rs.ids]), 0.0
 
     def _knn_base_case(self, qs: _NodeState, rs: _NodeState) -> None:
         w, err = self._block(qs, rs)
@@ -417,6 +447,7 @@ class _DualTreeEngine:
     def _knn_merge(self, p: np.ndarray, q: np.ndarray) -> None:
         """Merge candidates (list row p, point id q), q ascending per p, into the lists."""
         wq = sq_dists(self.coords[self.live[p]], self.coords[q])
+        self.knn_rederived += len(wq)
         # stable sorts by weight, then by p, give (p, w, q) order
         order = np.argsort(wq, kind="stable")
         order = order[np.argsort(p[order], kind="stable")]
@@ -469,8 +500,8 @@ class _DualTreeEngine:
         near = w[rows] <= (best_w[rows] + 2.0 * err)[:, None]
         ri, cols = np.nonzero(near)
         qi = rows[ri]
-        wc = sq_dists(qs.coords[qi], rs.coords[cols])
         qid, rid = qs.ids[qi], rs.ids[cols]
+        wc = sq_dists(self.coords[qid], self.coords[rid])
         u, v = np.minimum(qid, rid), np.maximum(qid, rid)
         comp = qs.roots[qi]
         best = _least_per_group(comp, wc, u, v)

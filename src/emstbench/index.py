@@ -9,25 +9,34 @@ et al., "Tree-Independent Dual-Tree Algorithms" (ICML 2013):
 
 * the index: `_make_node(ids)` (a node bounding those points), `_split(node,
   ids)` (the two child id sets), `_audit_region(node)` (its own audit
-  checks), and for the EMST engine `_region(node)` (a plain-Python snapshot
-  of a region) with `_region_min_sq(a, b)` (squared lower bound between two
-  snapshots);
-* the node: `min_sqdist_point(c)`, `child_for(c)` (the child an inserted
-  point descends into), `include(c, alone)` (grow the region to take c in;
-  `alone` when c is its only point) and `empty_copy()` (the empty leaf that
-  replaces a subtree whose points are all deleted).
+  checks), `_region_min_sq(a, b)` (squared lower bound between two region
+  snapshots, in plain Python floats) and `_point_region(c)` (a point as a
+  degenerate snapshot, so one bound serves node-to-point and node-to-node);
+* the node: `region` (its snapshot, kept current by every change),
+  `child_for(c)` (the child an inserted point descends into), `include(c,
+  alone)` (grow the region to take c in; `alone` when c is its only point)
+  and `empty_copy()` (the empty leaf that replaces a subtree whose points
+  are all deleted).
+
+One snapshot per node serves `knn`, insertion and the EMST engine, so no
+search converts a node's region per visit.  `knn` is best-first (distance
+browsing as in Hjaltason & Samet, ACM TODS 1999): nodes leave a heap in
+order of their bound, and the search stops once the nearest bound left
+exceeds the current k-th distance.
 
 Deletion is lazy: the id is dropped from its leaf and counted as a
 tombstone; once tombstones outnumber live points anywhere on the
 root-to-leaf path, that whole subtree is rebuilt from its live points.
 Regions only ever grow between rebuilds, so they stay valid (if loose)
-under any mutation sequence.
+under any mutation sequence.  A child refers to its parent weakly, so a
+dropped index is freed by reference counting alone.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import weakref
 
 import numpy as np
 
@@ -40,19 +49,40 @@ __all__ = ["IndexNode", "SpatialIndex"]
 _PRUNE_EPS = 1e-12
 
 
+def _no_parent() -> None:
+    return None
+
+
 class IndexNode:
-    """One index node; a leaf iff `ids` is not None.  Subclasses add the region."""
+    """One index node; a leaf iff `ids` is not None.
 
-    __slots__ = ("parent", "left", "right", "ids", "n_live", "n_tomb", "_arr")
+    `region` is the plain-Python snapshot of the node's bound that the
+    subclass defines and `_region_min_sq` reads.
+    """
 
-    def __init__(self):
-        self.parent = None
+    __slots__ = (
+        "_parent", "left", "right", "ids", "n_live", "n_tomb", "_arr", "region", "__weakref__",
+    )
+
+    def __init__(self, region):
+        # a weak reference to the parent, or `_no_parent` for a root: a strong
+        # child -> parent link would make every tree a reference cycle
+        self._parent = _no_parent
         self.left = None
         self.right = None
         self.ids: list[int] | None = None
         self.n_live = 0
         self.n_tomb = 0
         self._arr = None
+        self.region = region
+
+    @property
+    def parent(self) -> IndexNode | None:
+        return self._parent()
+
+    @parent.setter
+    def parent(self, node: IndexNode | None) -> None:
+        self._parent = _no_parent if node is None else weakref.ref(node)
 
     @property
     def is_leaf(self) -> bool:
@@ -189,7 +219,7 @@ class SpatialIndex:
             node.n_tomb += 1
             if node.n_tomb > node.n_live:
                 trigger = node
-            node = node.parent
+            node = node._parent()
         if trigger is not None:
             live = np.array(trigger.collect_live_ids(), dtype=np.intp)
             self._replace_subtree(trigger, live)
@@ -243,41 +273,37 @@ class SpatialIndex:
         if self.root.n_live == 0:
             return []
 
+        target = self._point_region(c.tolist())
+        min_sq = self._region_min_sq
         heap: list[tuple[float, int]] = []  # (-sqdist, -id): root of heap = current worst
-        stack = [(0.0, self.root)]  # (bound, node); nearer child pushed last, popped first
-        while stack:
-            dist, node = stack.pop()
+        frontier = [(0.0, 0, self.root)]  # (bound, push order, node), nearest bound first
+        pushed = 0
+        while frontier:
+            dist, _, node = heapq.heappop(frontier)
             if len(heap) == k and dist * (1.0 - _PRUNE_EPS) > -heap[0][0]:
+                break  # every node left is at least this far
+            ids = node.ids
+            if ids is None:
+                for child in (node.left, node.right):
+                    if child.n_live:
+                        pushed += 1
+                        heapq.heappush(frontier, (min_sq(child.region, target), pushed, child))
                 continue
-            if node.is_leaf:
-                if not node.ids:
-                    continue
-                arr = node.ids_array()
-                sqs = sq_dists(self._coords[arr], c)
-                if len(heap) < k:
-                    for sq, i in zip(sqs.tolist(), node.ids):
-                        if len(heap) < k:
-                            heapq.heappush(heap, (-sq, -i))
-                        elif (sq, i) < (-heap[0][0], -heap[0][1]):
-                            heapq.heapreplace(heap, (-sq, -i))
-                else:
-                    worst = -heap[0][0]
-                    for j in np.nonzero(sqs <= worst)[0].tolist():
-                        sq = float(sqs[j])
-                        i = node.ids[j]
-                        if (sq, i) < (-heap[0][0], -heap[0][1]):
-                            heapq.heapreplace(heap, (-sq, -i))
-                continue
-            near, far = node.left, node.right
-            dn = near.min_sqdist_point(c) if near.n_live else math.inf
-            df = far.min_sqdist_point(c) if far.n_live else math.inf
-            if df < dn:
-                near, far = far, near
-                dn, df = df, dn
-            if far.n_live:
-                stack.append((df, far))
-            if near.n_live:
-                stack.append((dn, near))
+            with np.errstate(over="ignore"):  # an overflow reads inf; see the check below
+                sqs = sq_dists(self._coords[node.ids_array()], c)
+            if len(heap) < k:
+                for sq, i in zip(sqs.tolist(), ids):
+                    if len(heap) < k:
+                        heapq.heappush(heap, (-sq, -i))
+                    elif (sq, i) < (-heap[0][0], -heap[0][1]):
+                        heapq.heapreplace(heap, (-sq, -i))
+            else:
+                worst = -heap[0][0]
+                for j in np.nonzero(sqs <= worst)[0].tolist():
+                    sq = float(sqs[j])
+                    i = ids[j]
+                    if (sq, i) < (-heap[0][0], -heap[0][1]):
+                        heapq.heapreplace(heap, (-sq, -i))
 
         if -heap[0][0] == math.inf:
             raise ValueError(

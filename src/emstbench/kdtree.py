@@ -2,11 +2,13 @@
 
 Nodes split on the axis of maximum coordinate spread at the median, found by
 linear-time selection (``np.argpartition``), and bound their points by a
-closed axis-aligned box.  Insertion descends by the split plane and widens
-every box on the way down.  Everything else (leaves of up to
-``leaf_capacity`` points, tombstone deletion with subtree rebuilds, exact
-k-NN, the shared audit checks) lives in `index.SpatialIndex`, so the kd-tree
-and the ball-tree differ only in their bounds.
+closed axis-aligned box, held as plain-Python lists ``(mins, maxs)``: the
+region snapshot that k-NN, insertion and the EMST engine read.  Insertion
+descends by the split plane and widens every box on the way down.
+Everything else (leaves of up to ``leaf_capacity`` points, tombstone
+deletion with subtree rebuilds, exact k-NN, the shared audit checks) lives
+in `index.SpatialIndex`, so the kd-tree and the ball-tree differ only in
+their bounds.
 """
 
 from __future__ import annotations
@@ -57,34 +59,52 @@ def _box_min_sq(a, b) -> float:
 
 
 class KdNode(IndexNode):
-    """One kd-tree node: a bounding box and, when internal, its split plane."""
+    """One kd-tree node: a bounding box and, when internal, its split plane.
 
-    __slots__ = ("split_dim", "split_value", "mins", "maxs")
+    The box is stored once, as the region snapshot ``(mins, maxs)`` of
+    Python float lists; the `mins` / `maxs` properties read and set it as
+    arrays.
+    """
+
+    __slots__ = ("split_dim", "split_value")
 
     def __init__(self, mins, maxs):
-        super().__init__()
+        super().__init__((np.asarray(mins, float).tolist(), np.asarray(maxs, float).tolist()))
         self.split_dim = -1
         self.split_value = 0.0
-        self.mins = mins
-        self.maxs = maxs
 
-    def min_sqdist_point(self, c: np.ndarray) -> float:
-        g = np.maximum(self.mins - c, 0.0) + np.maximum(c - self.maxs, 0.0)
-        return float(g @ g)
+    @property
+    def mins(self) -> np.ndarray:
+        return np.array(self.region[0])
+
+    @mins.setter
+    def mins(self, value) -> None:
+        self.region = (np.asarray(value, float).tolist(), self.region[1])
+
+    @property
+    def maxs(self) -> np.ndarray:
+        return np.array(self.region[1])
+
+    @maxs.setter
+    def maxs(self, value) -> None:
+        self.region = (self.region[0], np.asarray(value, float).tolist())
 
     def child_for(self, c: np.ndarray) -> KdNode:
         return self.left if c[self.split_dim] <= self.split_value else self.right
 
     def include(self, c: np.ndarray, alone: bool) -> None:
         if alone:
-            self.mins = c.copy()
-            self.maxs = c.copy()
-        else:
-            np.minimum(self.mins, c, out=self.mins)
-            np.maximum(self.maxs, c, out=self.maxs)
+            self.region = (c.tolist(), c.tolist())
+            return
+        mins, maxs = self.region
+        for k, x in enumerate(c.tolist()):
+            if x < mins[k]:
+                mins[k] = x
+            if x > maxs[k]:
+                maxs[k] = x
 
     def empty_copy(self) -> KdNode:
-        return KdNode(self.mins, self.maxs)
+        return KdNode(*self.region)
 
 
 class KdTree(SpatialIndex):
@@ -97,7 +117,8 @@ class KdTree(SpatialIndex):
         return KdNode(pts.min(axis=0), pts.max(axis=0))
 
     def _split(self, node: KdNode, ids: np.ndarray):
-        dim = int(np.argmax(node.maxs - node.mins))
+        extent = [hi - lo for lo, hi in zip(*node.region)]
+        dim = extent.index(max(extent))
         vals = self._coords[ids, dim]
         k = len(ids) // 2
         part = np.argpartition(vals, k)
@@ -105,15 +126,16 @@ class KdTree(SpatialIndex):
         node.split_value = float(vals[part[k]])
         return ids[part[:k]], ids[part[k:]]
 
-    @staticmethod
-    def _region(node: KdNode):
-        return node.mins.tolist(), node.maxs.tolist()
-
     _region_min_sq = staticmethod(_box_min_sq)
+
+    @staticmethod
+    def _point_region(c: list) -> tuple:
+        return c, c
 
     def _audit_region(self, node: KdNode) -> None:
         live = np.array(node.collect_live_ids(), dtype=np.intp)
-        escapes = ((self._coords[live] < node.mins) | (self._coords[live] > node.maxs)).any(axis=1)
+        mins, maxs = node.mins, node.maxs
+        escapes = ((self._coords[live] < mins) | (self._coords[live] > maxs)).any(axis=1)
         if escapes.any():
             raise AssertionError(f"point {live[escapes.argmax()]} escapes its node's bounding box")
         if node.is_leaf:

@@ -1,4 +1,6 @@
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,22 @@ class TestChooseSplit:
         coords = np.column_stack([rng.random(100), np.repeat([0.0, 0.2], 50)])
         choice = choose_split(range(100), coords)
         assert choice.dim == 0
+
+    def test_power_of_two_scale_changes_no_choice(self, rng):
+        coords = rng.random((50, 3))
+        base = choose_split(range(50), coords)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # squared half-extents of 2**560 overflow unscaled
+            big = choose_split(range(50), coords * 2.0**560)
+        assert big.dim == base.dim
+        assert big.value == base.value * 2.0**560
+
+    def test_huge_coordinates_build_a_balanced_tree(self, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = make_tree(rng.random((50, 3)) * 1e170, leaf_capacity=5)
+        assert tree.depth() <= 5  # an overflowed cost peels one point per level
+        tree.audit()
 
     def test_deterministic(self, rng):
         coords = rng.random((30, 4))

@@ -385,6 +385,37 @@ class TestNeighborLists:
             gc.enable()
 
     @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+    def test_tree_dies_without_the_cyclic_collector(self, rng, backend_cls):
+        n = 2000
+        index = backend_cls(random_dataset(rng, n, 3), 20)
+        first_root = weakref.ref(index.root)
+        gc.disable()
+        try:
+            index.knn(rng.random(3), 5)
+            index.insert(Point(n, rng.random(3)))
+            for victim in range(1200):  # over half: subtrees, then the root, are rebuilt
+                index.delete(victim)
+            find_component_neighbors(index, DisjointSet(n + 1))
+            root = weakref.ref(index.root)
+            del index
+            assert root() is None and first_root() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+    def test_offset_sets_rederive_as_little_as_at_the_origin(self, rng, backend_cls):
+        # the fast kernel is centred on the data, so its error window, and
+        # with it the canonical re-derivations, does not grow with the offset
+        coords = rng.random((2000, 3))
+        counts = []
+        for offset in (0.0, 1e4):
+            index = backend_cls(Dataset(coords + offset), 20)
+            find_component_neighbors(index, DisjointSet(2000))
+            counts.append(index._emst_engine.knn_rederived)
+        assert counts[0] > 0
+        assert counts[1] <= 1.5 * counts[0]
+
+    @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
     def test_duplicate_sites_send_components_to_the_tree(self, rng, backend_cls):
         sites = rng.random((20, 3))
         ds = Dataset(sites[rng.permutation(np.arange(600) % 20)])

@@ -264,3 +264,75 @@ class TestKnnRange:
         for _ in range(20):
             q = 1e150 + rng.random(3) * 1e140
             assert tree.knn(q, 5) == brute_knn(ds.coords, range(200), q, 5)
+
+
+@both_indexes
+def test_insert_far_outside_grows_the_regions_knn_reads(index_cls):
+    # Cluster A (ids 0-9) lies around the origin, cluster B (ids 10-19) on
+    # x in [3, 6]; each fills one leaf.  The new point p descends into A's
+    # leaf, but B holds the point (3, 0) nearer to p than A's old region.  A
+    # search that read A's region from before the insert would stop at
+    # (3, 0) and miss p.
+    a = [[x, y] for x in (-0.1, 0.0, 0.1) for y in (-0.1, 0.0, 0.1)] + [[0.05, 0.05]]
+    b = [[x, 0.1 * (-1) ** i] for i, x in enumerate(np.linspace(3.0, 6.0, 10))]
+    b[0] = [3.0, 0.0]
+    tree = make_tree(a + b, 12, index_cls)
+    assert sorted(tree.root.left.ids) == list(range(10))
+    p = np.array([2.0, 3.0])
+    tree.insert(Point(20, p))
+    assert tree._leaf_of[20] is tree.root.left
+    q = p + [0.0, 0.01]
+    assert tree.knn(q, 1) == [(20, pytest.approx(0.01, rel=1e-9))]
+    coords = np.vstack([a, b, [p]])
+    assert tree.knn(q, 3) == brute_knn(coords, range(21), q, 3)
+    tree.audit()
+
+
+@st.composite
+def mutation_scripts(draw):
+    """A small lattice set and a script of inserts, deletes and k-NN queries.
+
+    Coordinates are small integers, so duplicates and distance ties are
+    common; inserted points and queries also come from a range ten times
+    wider, outside the initial set's region.
+    """
+    d = draw(st.integers(1, 3))
+    near = st.integers(-3, 3).map(float)
+    anywhere = st.one_of(near, st.integers(-30, 30).map(float))
+
+    def point(coord):
+        return st.lists(coord, min_size=d, max_size=d)
+
+    initial = draw(st.lists(point(near), min_size=1, max_size=40))
+    ops = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("insert"), point(anywhere)),
+                st.tuples(st.just("delete"), st.integers(0, 10**6)),
+                st.tuples(st.just("knn"), point(anywhere), st.integers(1, 8)),
+            ),
+            max_size=60,
+        )
+    )
+    return initial, ops, draw(st.sampled_from([1, 2, 5]))
+
+
+@both_indexes
+@settings(max_examples=80, deadline=None)
+@given(mutation_scripts())
+def test_mutation_scripts_match_brute_force(index_cls, script):
+    initial, ops, leaf_capacity = script
+    coords = [list(c) for c in initial]
+    tree = make_tree(initial, leaf_capacity, index_cls)
+    live = list(range(len(initial)))
+    for op in ops:
+        if op[0] == "insert":
+            tree.insert(Point(len(coords), op[1]))
+            live.append(len(coords))
+            coords.append(op[1])
+        elif op[0] == "delete" and live:
+            tree.delete(live.pop(op[1] % len(live)))
+        elif op[0] == "knn":
+            q = np.array(op[1])
+            assert tree.knn(q, op[2]) == brute_knn(np.array(coords), live, q, op[2])
+    tree.audit()
