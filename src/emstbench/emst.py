@@ -1,12 +1,23 @@
 """Euclidean MST via dual-tree Boruvka over either spatial index, plus oracles.
 
-The Boruvka driver is shared by every variant: each round asks a candidate
-finder for the minimum-weight outgoing edge of every component under the
-package-wide total order (weight, min id, max id), then unions the edges that
-still cross components.  With that order all pair weights are distinct, the
-MST is unique, and `dual_tree_boruvka` (either backend), `naive_boruvka`, and
-`kruskal_mst` must return the same edge set exactly.  All routes reject, up
-front, coordinates whose squared pair distances could overflow float64.
+Each Boruvka round asks a candidate finder for the minimum-weight outgoing
+edge of every component under the package-wide total order (weight, min id,
+max id), then merges the components those edges join.  With that order all
+pair weights are distinct, the MST is unique, and `dual_tree_boruvka` (either
+backend), `naive_boruvka`, and `kruskal_mst` must return the same edge set
+exactly.  All routes reject, up front, coordinates whose squared pair
+distances could overflow float64.
+
+`dual_tree_boruvka` unions each round as arrays over a component label
+array: every component hooks onto the label at the other end of its edge,
+and pointer jumping relabels the points.  Under the strict total order the
+chosen edges form a forest but for edges chosen from both ends.  Were there
+a cycle of components C1 -> C2 -> ... -> Ck -> C1, each following its edge,
+then Ci's edge e_i would be no heavier than e_(i-1), which also leaves Ci;
+around the cycle all e_i would be one edge, and one edge joins only two
+components.  So a round keeps one copy of each edge both ends chose, and the
+smaller label of that pair stays the root: the kept edges are exactly those
+the edge-by-edge DisjointSet loop of `naive_boruvka` accepts.
 
 The dual-tree candidate finder first lists every point's exact 16 nearest
 neighbours, once per index state, in one pass over (tree x tree) node pairs.
@@ -445,40 +456,33 @@ class _DualTreeEngine:
         return own, other
 
     def _knn_merge(self, p: np.ndarray, q: np.ndarray) -> None:
-        """Merge candidates (list row p, point id q), q ascending per p, into the lists."""
+        """Merge candidates (list row p, point id q) into the lists with one sort.
+
+        Each touched list becomes one padded row: its K entries, then its
+        candidates, as complex numbers weight + 1j * id.  NumPy orders complex
+        values by real part, then imaginary part, so one sort along the rows
+        orders every row by (weight, id); ids stay below 2**53, exact in the
+        imaginary part.  The K first entries of a row are its merged list.
+        """
         wq = sq_dists(self.coords[self.live[p]], self.coords[q])
         self.knn_rederived += len(wq)
-        # stable sorts by weight, then by p, give (p, w, q) order
-        order = np.argsort(wq, kind="stable")
-        order = order[np.argsort(p[order], kind="stable")]
+        order = np.argsort(p, kind="stable")
         p, wq, q = p[order], wq[order], q[order]
         heads = np.ones(len(p), dtype=bool)
         heads[1:] = p[1:] != p[:-1]
         group = np.cumsum(heads) - 1
         first = np.flatnonzero(heads)
         prow = p[first]
-        list_w, list_id = self.knn_w[prow], self.knn_id[prow]
-        # a candidate's merged slot: list entries before it plus earlier
-        # candidates of its point; a list entry moves down by the candidates
-        # inserted at or before its index
-        gw, gid = list_w[group], list_id[group]
-        before = np.count_nonzero(
-            (gw < wq[:, None]) | ((gw == wq[:, None]) & (gid < q[:, None])), axis=1
-        )
-        cand_slot = before + np.arange(len(p)) - first[group]
-        m = len(prow)
-        inserted = np.bincount(group * (_K + 1) + before, minlength=m * (_K + 1))
-        list_slot = np.arange(_K) + np.cumsum(inserted.reshape(m, _K + 1), axis=1)[:, :_K]
-        out_w = np.empty((m, _K))
-        out_id = np.empty((m, _K), dtype=np.intp)
-        keep = cand_slot < _K
-        out_w[group[keep], cand_slot[keep]] = wq[keep]
-        out_id[group[keep], cand_slot[keep]] = q[keep]
-        lr, lc = np.nonzero(list_slot < _K)
-        out_w[lr, list_slot[lr, lc]] = list_w[lr, lc]
-        out_id[lr, list_slot[lr, lc]] = list_id[lr, lc]
-        self.knn_w[prow] = out_w
-        self.knn_id[prow] = out_id
+        col = _K + np.arange(len(p)) - first[group]
+        rows = np.full((len(prow), int(col.max()) + 1), complex(np.inf, np.inf))
+        rows[:, :_K].real = self.knn_w[prow]
+        rows[:, :_K].imag = self.knn_id[prow]
+        rows[group, col] = wq + 1j * q
+        rows = np.sort(rows, axis=1)[:, :_K]
+        ids = rows.imag.astype(np.intp)
+        ids[rows.real == np.inf] = -1
+        self.knn_w[prow] = rows.real
+        self.knn_id[prow] = ids
 
     def _base_case(self, qs: _NodeState, rs: _NodeState) -> None:
         w, err = self._block(qs, rs)
@@ -531,6 +535,20 @@ def _engine_for(index) -> _DualTreeEngine:
     return engine
 
 
+def _engine_round(engine: _DualTreeEngine, labels: np.ndarray):
+    """Each component's best outgoing pair as (squared weight, u, v) arrays.
+
+    `labels` names every point's component by an id in 0..n-1; entry c of the
+    arrays holds component c's pair, and u = -1 where c names no component.
+    """
+    n = len(labels)
+    cand_sq = np.full(n, np.inf)
+    cand_u = np.full(n, -1, dtype=np.int64)
+    cand_v = np.full(n, -1, dtype=np.int64)
+    engine.run_round(labels, cand_sq, cand_u, cand_v)
+    return cand_sq, cand_u, cand_v
+
+
 def find_component_neighbors(index, dsu: DisjointSet) -> dict[int, Edge]:
     """One Boruvka round: each component's nearest edge into any other component.
 
@@ -548,11 +566,7 @@ def find_component_neighbors(index, dsu: DisjointSet) -> dict[int, Edge]:
         raise ValueError(
             f"index holds id {engine.max_id} but the disjoint set covers only 0..{n - 1}"
         )
-    roots_all = dsu.roots_array()
-    cand_sq = np.full(n, np.inf)
-    cand_u = np.full(n, -1, dtype=np.int64)
-    cand_v = np.full(n, -1, dtype=np.int64)
-    engine.run_round(roots_all, cand_sq, cand_u, cand_v)
+    cand_sq, cand_u, cand_v = _engine_round(engine, dsu.roots_array())
     out: dict[int, Edge] = {}
     for root in np.nonzero(cand_u >= 0)[0].tolist():
         out[root] = Edge(int(cand_u[root]), int(cand_v[root]), math.sqrt(float(cand_sq[root])))
@@ -563,27 +577,35 @@ def find_component_neighbors(index, dsu: DisjointSet) -> dict[int, Edge]:
 # Boruvka drivers and oracles
 
 
-def _accept_candidates(dsu: DisjointSet, candidates: dict[int, Edge], edges: list[Edge]) -> int:
-    accepted = 0
-    for root in sorted(candidates):
-        edge = candidates[root]
-        if dsu.find(edge.u) != dsu.find(edge.v):
-            dsu.union(edge.u, edge.v)
-            edges.append(edge)
-            accepted += 1
-    return accepted
-
-
-def _run_boruvka(n: int, candidate_fn) -> tuple[EdgeList, int]:
-    dsu = DisjointSet(n)
+def _boruvka_edges(engine: _DualTreeEngine, n: int) -> tuple[list[Edge], int]:
+    """MST edges and round count, each round unioned as arrays over component labels."""
+    labels = np.arange(n)
     edges: list[Edge] = []
     rounds = 0
-    while dsu.component_count > 1:
-        candidates = candidate_fn(dsu)
+    while len(edges) < n - 1:
+        cand_sq, cand_u, cand_v = _engine_round(engine, labels)
         rounds += 1
-        if _accept_candidates(dsu, candidates, edges) == 0:
+        comp = np.flatnonzero(cand_u >= 0)
+        u, v = cand_u[comp], cand_v[comp]
+        other = np.where(labels[u] == comp, labels[v], labels[u])
+        # the edges chosen form a forest but for edges chosen from both ends
+        # (module docstring): keep one copy, and its smaller label as root
+        mutual = (cand_u[other] == u) & (cand_v[other] == v)
+        root = mutual & (comp < other)
+        keep = ~mutual | root
+        if not keep.any():
             raise RuntimeError("Boruvka round made no progress")  # unreachable
-    return EdgeList.from_edges(edges), rounds
+        hook = np.arange(n)
+        hook[comp] = np.where(root, comp, other)
+        while True:
+            jumped = hook[hook]
+            if np.array_equal(jumped, hook):
+                break
+            hook = jumped
+        labels = hook[labels]
+        weights = np.sqrt(cand_sq[comp[keep]])
+        edges += map(Edge, u[keep].tolist(), v[keep].tolist(), weights.tolist())
+    return edges, rounds
 
 
 def dual_tree_boruvka(
@@ -594,15 +616,17 @@ def dual_tree_boruvka(
 ):
     """Exact EMST by Boruvka rounds with dual-tree candidate search.
 
-    Builds the chosen index once, then repeats rounds of
-    `find_component_neighbors` + union until one component remains.  With
-    `return_rounds=True` also returns the number of rounds executed.
+    Builds the chosen index once, then runs the engine round behind
+    `find_component_neighbors` and unions its edges as arrays until one
+    component remains.  With `return_rounds=True` also returns the number of
+    rounds executed.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}, expected one of {sorted(BACKENDS)}")
     check_sq_range(ds.coords)
     index = BACKENDS[backend](ds, leaf_capacity)
-    result, rounds = _run_boruvka(ds.n, lambda dsu: find_component_neighbors(index, dsu))
+    edges, rounds = _boruvka_edges(_engine_for(index), ds.n)
+    result = EdgeList.from_edges(edges)
     return (result, rounds) if return_rounds else result
 
 
@@ -630,15 +654,28 @@ def _naive_candidates(sq: np.ndarray, dsu: DisjointSet) -> dict[int, Edge]:
 def naive_boruvka(ds: Dataset, return_rounds: bool = False):
     """Boruvka with per-round exhaustive all-pairs candidate scans.
 
-    Quadratic per round; the mid-level oracle for the dual-tree path.
+    Quadratic per round; the mid-level oracle for the dual-tree path.  Its
+    rounds are unioned edge by edge through a DisjointSet, independently of
+    the array driver of `dual_tree_boruvka`.
     """
     n = ds.n
-    if n == 1:
-        result = EdgeList.from_edges([])
-        return (result, 0) if return_rounds else result
-    check_sq_range(ds.coords)
-    sq = cross_sq_dists(ds.coords, ds.coords)
-    result, rounds = _run_boruvka(n, lambda dsu: _naive_candidates(sq, dsu))
+    rounds = 0
+    edges: list[Edge] = []
+    if n > 1:
+        check_sq_range(ds.coords)
+        sq = cross_sq_dists(ds.coords, ds.coords)
+        dsu = DisjointSet(n)
+        while dsu.component_count > 1:
+            candidates = _naive_candidates(sq, dsu)
+            rounds += 1
+            before = dsu.component_count
+            for root in sorted(candidates):
+                edge = candidates[root]
+                if dsu.union(edge.u, edge.v):
+                    edges.append(edge)
+            if dsu.component_count == before:
+                raise RuntimeError("Boruvka round made no progress")  # unreachable
+    result = EdgeList.from_edges(edges)
     return (result, rounds) if return_rounds else result
 
 

@@ -47,14 +47,10 @@ class Dendrogram:
 
 def _canonical_labels(dsu: DisjointSet, n: int) -> np.ndarray:
     """Cluster indices assigned by first appearance in id order."""
-    labels = np.empty(n, dtype=np.intp)
-    seen: dict[int, int] = {}
-    for i in range(n):
-        root = dsu.find(i)
-        if root not in seen:
-            seen[root] = len(seen)
-        labels[i] = seen[root]
-    return labels
+    _, first, inverse = np.unique(dsu.roots_array()[:n], return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse]
 
 
 def single_linkage(mst: EdgeList, n: int, k: int) -> np.ndarray:

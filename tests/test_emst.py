@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emstbench import (
+    BACKENDS,
     BallTree,
     Dataset,
     DisjointSet,
@@ -23,8 +24,8 @@ from emstbench import (
     naive_boruvka,
     validate_spanning_tree,
 )
-from emstbench.core import cross_sq_dists
-from emstbench.emst import _K, _naive_candidates
+from emstbench.core import cross_sq_dists, sq_dists
+from emstbench.emst import _K, _DualTreeEngine, _naive_candidates
 from conftest import random_dataset
 
 
@@ -262,6 +263,37 @@ def boruvka_rounds(index, n):
             dsu.union(edge.u, edge.v)
 
 
+def brute_lists(index):
+    """Every live point's `_K` nearest others under (canonical weight, id), padded (inf, -1)."""
+    live = np.array(sorted(index.live_ids()), dtype=np.intp)
+    w = np.full((len(live), _K), np.inf)
+    ids = np.full((len(live), _K), -1, dtype=np.intp)
+    for row, p in enumerate(live.tolist()):
+        others = live[live != p]
+        wq = sq_dists(index.coords[others], index.coords[p])
+        order = np.lexsort((others, wq))[:_K]
+        w[row, : len(order)] = wq[order]
+        ids[row, : len(order)] = others[order]
+    return live, w, ids
+
+
+def tie_heavy_coords(kind, n, rng):
+    """n copies of 1-4 sites, n points offset by 10-1e4, or an integer lattice.
+
+    A lattice holds 300-576 points, more than one base node of the k-NN
+    pass, so later merges meet list entries that tie with their candidates.
+    """
+    if kind == "lattice":
+        d = int(rng.integers(2, 4))
+        side = 24 if d == 2 else 8
+        cells = rng.permutation(side**d)[: int(rng.integers(300, 577))]
+        return np.array(np.unravel_index(cells, (side,) * d), dtype=float).T
+    if kind == "sites":
+        sites = rng.random((int(rng.integers(1, 5)), int(rng.integers(1, 4))))
+        return sites[rng.integers(0, len(sites), n)]
+    return 10.0 ** rng.uniform(1.0, 4.0) + rng.random((n, int(rng.choice([2, 3, 8, 15]))))
+
+
 class TestNeighborLists:
     """Rounds answered from the cached k-NN lists, and the tree fallback."""
 
@@ -323,6 +355,38 @@ class TestNeighborLists:
         ds = Dataset(10.0**log_offset + rng.random((n, d)))
         kd, ball, kr = mst_keys(ds, leaf)
         assert kd == ball == kr
+
+    @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["lattice", "sites", "offset"]),
+        st.integers(2, 80),
+        st.integers(1, 20),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_lists_equal_brute_force_before_and_after_mutation(
+        self, backend_cls, kind, n, leaf, seed
+    ):
+        """Every list entry, not only the first outside a component, is exact."""
+        rng = np.random.default_rng(seed)
+        ds = Dataset(tie_heavy_coords(kind, n, rng))
+        n = ds.n
+        index = backend_cls(ds, leaf)
+        for step in range(2):
+            find_component_neighbors(index, DisjointSet(n))
+            engine = index._emst_engine
+            live, w, ids = brute_lists(index)
+            np.testing.assert_array_equal(engine.live, live)
+            np.testing.assert_array_equal(engine.knn_w, w)
+            np.testing.assert_array_equal(engine.knn_id, ids)
+            if step or n < 3:
+                break
+            # drop up to half the points, and move some of them onto another's site
+            victims = rng.choice(n, size=int(rng.integers(1, n // 2 + 1)), replace=False)
+            for victim in victims.tolist():
+                index.delete(victim)
+            for victim in victims[: len(victims) // 2].tolist():
+                index.insert(Point(victim, ds.coords[int(rng.integers(n))].copy()))
 
     @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
     def test_tie_between_last_entry_and_bound_goes_to_the_tree(self, backend_cls):
@@ -422,6 +486,53 @@ class TestNeighborLists:
         index = backend_cls(ds, 20)
         counts = [index._emst_engine.fallback_components for _ in boruvka_rounds(index, ds.n)]
         assert counts[0] == 0 and sum(counts[1:]) > 0
+
+
+def dsu_route(index, n):
+    """The EMST and round count of `find_component_neighbors` + DisjointSet."""
+    edges, rounds = [], 0
+    for dsu, candidates in boruvka_rounds(index, n):
+        rounds += 1
+        for comp in sorted(candidates):
+            edge = candidates[comp]
+            if dsu.union(edge.u, edge.v):
+                edges.append(edge)
+    return EdgeList.from_edges(edges), rounds
+
+
+class TestArrayDriver:
+    """`dual_tree_boruvka` unions each round as arrays; the DisjointSet route checks it."""
+
+    @pytest.mark.parametrize("backend", ["kd", "ball"])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(["sites20", "lattice", "uniform"]),
+        st.integers(2, 200),
+        st.integers(1, 20),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_disjoint_set_route(self, backend, kind, n, leaf, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "sites20":
+            coords = rng.random((20, 3))[rng.integers(0, 20, n)]
+        elif kind == "lattice":
+            # unit spacing: nearly every pair two components pick is a tie broken by ids
+            side = 6
+            cells = rng.permutation(side**3)[: min(n, side**3)]
+            coords = np.array(np.unravel_index(cells, (side,) * 3), dtype=float).T
+        else:
+            coords = rng.random((n, 3))
+        ds = Dataset(coords)
+        got, rounds = dual_tree_boruvka(ds, backend, leaf_capacity=leaf, return_rounds=True)
+        want, want_rounds = dsu_route(BACKENDS[backend](ds, leaf), ds.n)
+        assert edge_key(got) == edge_key(want)
+        assert got.total_weight.hex() == want.total_weight.hex()
+        assert rounds == want_rounds
+
+    def test_a_round_without_edges_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(_DualTreeEngine, "run_round", lambda self, *args: None)
+        with pytest.raises(RuntimeError, match="no progress"):
+            dual_tree_boruvka(random_dataset(rng, 30, 2), "kd")
 
 
 class TestOverflow:
