@@ -19,6 +19,23 @@ components.  So a round keeps one copy of each edge both ends chose, and the
 smaller label of that pair stays the root: the kept edges are exactly those
 the edge-by-edge DisjointSet loop of `naive_boruvka` accepts.
 
+`dual_tree_boruvka` first collapses exact duplicates.  Each site is
+represented by its smallest id; the representatives, kept in ascending id
+order, are all the index holds, so (w, min id, max id) orders their pairs as
+it orders the same pairs in the full set.  While no two distinct sites weigh
+0, round 1 of the full set joins each other copy x of a site to the site's
+smallest id r: x's lightest pairs are the 0-weight pairs within its site,
+(r, x) has the least ids of them, and r's own pick (r, second copy) is that
+copy's pick too.  A lone site picks the same pair at both levels, because
+among one site's copies at equal weight the smallest id gives the least
+(min id, max id); the same holds for the best pair between two components
+from round 2 on, when every site lies inside one component.  So round 1
+adds the stars (r, x) and the picks of lone sites only, later rounds run on
+the representatives unchanged, and the round count is the full set's.  If
+two distinct sites do weigh 0 (their squared difference underflows), stars
+are wrong; the representatives' MST then holds a 0-weight edge, since the
+lightest pair is in every MST, and the full set is run instead.
+
 The dual-tree candidate finder first lists every point's exact 16 nearest
 neighbours, once per index state, in one pass over (tree x tree) node pairs.
 Every round is then answered from those lists.  For a fixed point the total
@@ -217,6 +234,8 @@ class _DualTreeEngine:
         # pad short lists
         self.knn_w = None
         self.knn_id = None
+        # fast-kernel block buffers by dtype, for the traversal under way
+        self._bufs = {}
         # canonical weights the k-NN list pass computed
         self.knn_rederived = 0
         # components the last round sent to the tree traversal
@@ -391,20 +410,35 @@ class _DualTreeEngine:
             )
             for d, i in scored:
                 stack.append((d, *pairs[i]))
+        self._bufs.clear()
 
     def _block(self, qs: _NodeState, rs: _NodeState):
         """Fast squared-distance block and its absolute error bound."""
         scale = qs.max_sqn + rs.max_sqn
         if scale < _FLOAT32_SCALE:
-            w = qs.sqn32[:, None] + rs.sqn32[None, :]
-            w -= 2.0 * (qs.fast32 @ rs.fast32.T)
-            return w, self.err32 * scale
+            return self._fast_block(qs.sqn32, rs.sqn32, qs.fast32, rs.fast32), self.err32 * scale
         if scale < _FLOAT64_SCALE:
-            w = qs.sqn[:, None] + rs.sqn[None, :]
-            w -= 2.0 * (qs.fast @ rs.fast.T)
-            return w, self.err64 * scale
+            return self._fast_block(qs.sqn, rs.sqn, qs.fast, rs.fast), self.err64 * scale
         # squared norms near overflow: the canonical kernel, exact by definition
         return cross_sq_dists(self.coords[qs.ids], self.coords[rs.ids]), 0.0
+
+    def _fast_block(self, qn, rn, qf, rf) -> np.ndarray:
+        """|q|^2 + |r|^2 - 2 q.r in a buffer that the next block overwrites.
+
+        The buffers live for one traversal.  A fresh block per base case
+        was measured to page-fault on every call once blocks near 1 MiB, as
+        the allocator hands such blocks back to the system when freed.
+        """
+        size = len(qn) * len(rn)
+        bufs = self._bufs.get(qn.dtype)
+        if bufs is None or len(bufs[0]) < size:
+            bufs = self._bufs[qn.dtype] = (np.empty(size, qn.dtype), np.empty(size, qn.dtype))
+        w, prod = (b[:size].reshape(len(qn), len(rn)) for b in bufs)
+        np.add(qn[:, None], rn[None, :], out=w)
+        np.matmul(qf, rf.T, out=prod)
+        prod *= 2.0
+        w -= prod
+        return w
 
     def _knn_base_case(self, qs: _NodeState, rs: _NodeState) -> None:
         w, err = self._block(qs, rs)
@@ -443,17 +477,14 @@ class _DualTreeEngine:
         fast value <= min(K-th + err, K-th smallest fast value + 2 err).
         The finite limits also exclude the masked (infinite) diagonal.
         """
-        hit = w <= (thresh[:, None] if by_row else thresh[None, :])
-        i, j = np.divmod(np.flatnonzero(hit), w.shape[1])
-        own, other = (i, j) if by_row else (j, i)
-        crowded = np.flatnonzero(np.bincount(own, minlength=len(thresh)) > _K)
+        wt = w if by_row else w.T
+        hit = wt <= thresh[:, None]
+        crowded = np.flatnonzero(np.count_nonzero(hit, axis=1) > _K)
         if len(crowded):
-            sub = w[crowded] if by_row else w[:, crowded].T
-            limit = np.full(len(thresh), np.inf)
-            limit[crowded] = np.partition(sub, _K - 1, axis=1)[:, _K - 1] + 2.0 * err
-            keep = w[i, j] <= limit[own]
-            own, other = own[keep], other[keep]
-        return own, other
+            sub = wt[crowded]
+            limit = np.partition(sub, _K - 1, axis=1)[:, _K - 1] + 2.0 * err
+            hit[crowded] &= sub <= limit[:, None]
+        return np.divmod(np.flatnonzero(hit), wt.shape[1])
 
     def _knn_merge(self, p: np.ndarray, q: np.ndarray) -> None:
         """Merge candidates (list row p, point id q) into the lists with one sort.
@@ -577,13 +608,42 @@ def find_component_neighbors(index, dsu: DisjointSet) -> dict[int, Edge]:
 # Boruvka drivers and oracles
 
 
-def _boruvka_edges(engine: _DualTreeEngine, n: int) -> tuple[list[Edge], int]:
-    """MST edges and round count, each round unioned as arrays over component labels."""
+def _duplicate_sites(coords: np.ndarray):
+    """Exact duplicates grouped by site, or None when every point is distinct.
+
+    Returns the representatives (each site's smallest id, ascending), which
+    of them stand alone on their site, and every point's representative.
+    Adding 0.0 folds -0.0 into 0.0 before the rows are compared as bytes.
+    """
+    key = np.ascontiguousarray(coords + 0.0)
+    key = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
+    if len(first) == len(coords):
+        return None
+    order = np.argsort(first)
+    return first[order], counts[order] == 1, first[inverse]
+
+
+def _boruvka_edges(engine: _DualTreeEngine, n: int, lone: np.ndarray | None = None):
+    """MST edges as (u, v, squared weight) arrays and the round count.
+
+    Each round is unioned as arrays over component labels.  With `lone`
+    given, the points are the representatives of duplicate sites and round 1
+    is the full set's: only the sites marked lone choose an edge, and every
+    other site is joined that round by its star (module docstring).
+    """
     labels = np.arange(n)
-    edges: list[Edge] = []
-    rounds = 0
-    while len(edges) < n - 1:
+    us, vs, sqs = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    found = rounds = 0
+    if lone is not None and not lone.any():
+        rounds, lone = 1, None  # round 1 adds stars only
+    while found < n - 1:
         cand_sq, cand_u, cand_v = _engine_round(engine, labels)
+        if lone is not None:
+            cand_u[~lone] = -1
+            lone = None
         rounds += 1
         comp = np.flatnonzero(cand_u >= 0)
         u, v = cand_u[comp], cand_v[comp]
@@ -603,9 +663,11 @@ def _boruvka_edges(engine: _DualTreeEngine, n: int) -> tuple[list[Edge], int]:
                 break
             hook = jumped
         labels = hook[labels]
-        weights = np.sqrt(cand_sq[comp[keep]])
-        edges += map(Edge, u[keep].tolist(), v[keep].tolist(), weights.tolist())
-    return edges, rounds
+        us.append(u[keep])
+        vs.append(v[keep])
+        sqs.append(cand_sq[comp[keep]])
+        found += len(us[-1])
+    return np.concatenate(us), np.concatenate(vs), np.concatenate(sqs), rounds
 
 
 def dual_tree_boruvka(
@@ -616,17 +678,33 @@ def dual_tree_boruvka(
 ):
     """Exact EMST by Boruvka rounds with dual-tree candidate search.
 
-    Builds the chosen index once, then runs the engine round behind
-    `find_component_neighbors` and unions its edges as arrays until one
-    component remains.  With `return_rounds=True` also returns the number of
-    rounds executed.
+    Exact duplicates are collapsed first: the index holds one representative
+    per site, and every other copy joins its representative by a 0-weight
+    star edge.  The chosen index is built once, then the engine round behind
+    `find_component_neighbors` runs and its edges are unioned as arrays until
+    one component remains.  With `return_rounds=True` also returns the
+    number of rounds, the same as Boruvka over the full set takes.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}, expected one of {sorted(BACKENDS)}")
     check_sq_range(ds.coords)
-    index = BACKENDS[backend](ds, leaf_capacity)
-    edges, rounds = _boruvka_edges(_engine_for(index), ds.n)
-    result = EdgeList.from_edges(edges)
+    sites = _duplicate_sites(ds.coords)
+    if sites is not None:
+        reps, lone, rep_of = sites
+        index = BACKENDS[backend](Dataset(ds.coords[reps]), leaf_capacity)
+        u, v, sq, rounds = _boruvka_edges(_engine_for(index), len(reps), lone)
+        if (sq == 0.0).any():
+            sites = None  # distinct sites at weight 0: stars are not exact (module docstring)
+        else:
+            # stars first: edges stay in the order of the rounds that add them
+            stars = np.flatnonzero(rep_of != np.arange(ds.n))
+            u = np.concatenate((rep_of[stars], reps[u]))
+            v = np.concatenate((stars, reps[v]))
+            sq = np.concatenate((np.zeros(len(stars)), sq))
+    if sites is None:
+        index = BACKENDS[backend](ds, leaf_capacity)
+        u, v, sq, rounds = _boruvka_edges(_engine_for(index), ds.n)
+    result = EdgeList.from_edges(list(map(Edge, u.tolist(), v.tolist(), np.sqrt(sq).tolist())))
     return (result, rounds) if return_rounds else result
 
 

@@ -110,9 +110,10 @@ class SpatialIndex:
     """Binary space-partitioning index supporting insert, delete, and exact k-NN.
 
     Point coordinates live in a private growable buffer indexed by id, so
-    inserted points may carry any id not currently live (fresh ids should be
-    kept reasonably dense, e.g. n, n+1, ...).  Concurrent reads are safe;
-    mutations need exclusive access.
+    inserted points may carry any id not currently live.  Fresh ids must stay
+    dense (e.g. n, n+1, ...): an insert whose id would more than double the
+    buffer raises ValueError.  Concurrent reads are safe; mutations need
+    exclusive access.
     """
 
     def __init__(self, dataset: Dataset, leaf_capacity: int = 20):
@@ -227,7 +228,13 @@ class SpatialIndex:
 
     def _store_coords(self, point_id: int, c: np.ndarray) -> None:
         if point_id >= self._coords.shape[0]:
-            grow = max(2 * self._coords.shape[0], point_id + 1)
+            # refuse a sparse id before allocating a buffer dense up to it
+            if point_id >= 2 * self._coords.shape[0]:
+                raise ValueError(
+                    f"id {point_id} is too sparse: the coordinate buffer holds "
+                    f"{self._coords.shape[0]} rows and may at most double per insert"
+                )
+            grow = 2 * self._coords.shape[0]
             fresh = np.empty((grow, self.d))
             fresh[: self._coords.shape[0]] = self._coords
             self._coords = fresh

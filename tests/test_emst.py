@@ -479,6 +479,13 @@ class TestNeighborLists:
         assert counts[0] > 0
         assert counts[1] <= 1.5 * counts[0]
 
+    @pytest.mark.parametrize("backend_cls, count", [(KdTree, 40436), (BallTree, 42495)])
+    def test_list_pass_rederivations_are_pinned(self, backend_cls, count):
+        # candidate selection may change how it finds entries, not which
+        index = backend_cls(generate_synthetic(2000, 3, "uniform", 5), 20)
+        find_component_neighbors(index, DisjointSet(2000))
+        assert index._emst_engine.knn_rederived == count
+
     @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
     def test_duplicate_sites_send_components_to_the_tree(self, rng, backend_cls):
         sites = rng.random((20, 3))
@@ -533,6 +540,86 @@ class TestArrayDriver:
         monkeypatch.setattr(_DualTreeEngine, "run_round", lambda self, *args: None)
         with pytest.raises(RuntimeError, match="no progress"):
             dual_tree_boruvka(random_dataset(rng, 30, 2), "kd")
+
+
+def duplicate_coords(kind, n, rng):
+    """Point sets with exact duplicates, ids in random order.
+
+    `mixed`: repeated uniform sites among singletons; `lattice`: a small
+    integer lattice drawn with replacement, so repeats meet tied weights;
+    `signed_zero`: a {0, 1, 2} lattice with the sign of each zero drawn at
+    random; `identical`: one site; `pair`: two points, equal or not.
+    """
+    d = int(rng.integers(1, 4))
+    if kind == "mixed":
+        sites = rng.random((int(rng.integers(1, 6)), d))
+        coords = np.vstack([sites[rng.integers(0, len(sites), n - n // 2)], rng.random((n // 2, d))])
+        return coords[rng.permutation(n)]
+    if kind == "lattice":
+        return rng.integers(0, 4, (n, d)).astype(float)
+    if kind == "signed_zero":
+        coords = rng.integers(0, 3, (n, d)).astype(float)
+        return np.where((coords == 0.0) & (rng.random((n, d)) < 0.5), -0.0, coords)
+    if kind == "identical":
+        return np.repeat(rng.random((1, d)), n, axis=0)
+    return rng.integers(0, 2, (2, d)).astype(float)
+
+
+class TestDuplicateCollapse:
+    """`dual_tree_boruvka` runs on one representative per site, stars for the copies."""
+
+    @pytest.mark.parametrize("backend", ["kd", "ball"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["mixed", "lattice", "signed_zero", "identical", "pair"]),
+        st.integers(2, 120),
+        st.integers(1, 20),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_routes_agree_and_rounds_match_the_full_set(self, backend, kind, n, leaf, seed):
+        rng = np.random.default_rng(seed)
+        ds = Dataset(duplicate_coords(kind, n, rng))
+        got, rounds = dual_tree_boruvka(ds, backend, leaf_capacity=leaf, return_rounds=True)
+        other = dual_tree_boruvka(ds, "ball" if backend == "kd" else "kd", leaf_capacity=leaf)
+        want = kruskal_mst(ds)
+        assert edge_key(got) == edge_key(other) == edge_key(naive_boruvka(ds)) == edge_key(want)
+        assert got.total_weight.hex() == want.total_weight.hex()
+        assert rounds == dsu_route(BACKENDS[backend](ds, leaf), ds.n)[1]
+
+    @pytest.mark.parametrize("backend", ["kd", "ball"])
+    def test_distinct_sites_at_weight_zero_use_the_full_set(self, backend):
+        # (2e-170 - 1e-170)**2 underflows to 0, so no star rule is exact here
+        xs = [1e-170, 2e-170] * 4 + [1.0]
+        ds = line_dataset(*xs)
+        assert sq_dists(ds.coords[:1], ds.coords[1])[0] == 0.0
+        got, rounds = dual_tree_boruvka(ds, backend, return_rounds=True)
+        want = kruskal_mst(ds)
+        assert edge_key(got) == edge_key(want)
+        assert got.total_weight.hex() == want.total_weight.hex()
+        assert rounds == dsu_route(BACKENDS[backend](ds, 20), ds.n)[1]
+
+    @pytest.mark.parametrize("backend", ["kd", "ball"])
+    def test_the_index_holds_one_point_per_site(self, rng, monkeypatch, backend):
+        sites = np.vstack([np.zeros((1, 3)), rng.random((19, 3))])
+        coords = sites[rng.permutation(np.arange(5000) % 20)]
+        coords[:2500] = np.where(coords[:2500] == 0.0, -0.0, coords[:2500])
+        built, build = [], BACKENDS[backend]
+
+        def recording(ds, leaf_capacity):
+            built.append(ds.n)
+            return build(ds, leaf_capacity)
+
+        monkeypatch.setitem(BACKENDS, backend, recording)
+        el = dual_tree_boruvka(Dataset(coords), backend)
+        assert built == [20]
+        validate_spanning_tree(el, 5000)
+        assert sum(e.weight == 0.0 for e in el.edges) == 4980
+
+    def test_a_round_without_edges_raises_with_lone_sites(self, rng, monkeypatch):
+        monkeypatch.setattr(_DualTreeEngine, "run_round", lambda self, *args: None)
+        coords = np.vstack([np.zeros((5, 2)), rng.random((10, 2))])
+        with pytest.raises(RuntimeError, match="no progress"):
+            dual_tree_boruvka(Dataset(coords), "kd")
 
 
 class TestOverflow:

@@ -165,6 +165,17 @@ class TestInsert:
         with pytest.raises(ValueError, match="dimension"):
             tree.insert(Point(9, [0.5, 0.5, 0.5]))
 
+    @both_indexes
+    def test_sparse_id_is_refused_before_allocating(self, rng, index_cls):
+        # a buffer dense up to 10**12 would raise MemoryError, not ValueError
+        tree = index_cls(random_dataset(rng, 100, 3))
+        with pytest.raises(ValueError, match=str(10**12)):
+            tree.insert(Point(10**12, rng.random(3)))
+        assert tree.coords.shape[0] == 100 and tree.size == 100
+        tree.audit()
+        tree.insert(Point(199, rng.random(3)))  # doubling the buffer is allowed
+        assert tree.size == 101
+
 
 class TestDelete:
     def test_survivors_only(self):
