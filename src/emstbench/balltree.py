@@ -166,8 +166,6 @@ class BallNode(IndexNode):
 class BallTree(SpatialIndex):
     """Ball-tree over a dataset; same mutation and search contract as KdTree."""
 
-    backend_name = "ball"
-
     def _make_node(self, ids: np.ndarray) -> BallNode:
         pts = self._coords[ids]
         center = pts.mean(axis=0)

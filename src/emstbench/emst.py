@@ -51,20 +51,36 @@ when neither side holds an unsettled component, or when the
 region-to-region lower bound exceeds the current bound of every component
 (in the list pass: every point) present on either side.  Small-enough
 subtrees become base cases: their cross-distance block is computed with a
-norms + matrix-product kernel, which is fast but not bitwise-canonical, so
-candidates are re-derived with the canonical kernel among everything within
-a rigorous floating-point error window.  Weights stored and compared are
-therefore always canonical.
+float32 norms + matrix-product kernel, which is fast but not bitwise-canonical,
+so candidates are re-derived with the canonical kernel among everything
+within a rigorous floating-point error window.  Weights stored and compared
+are therefore always canonical.
 
-The fast kernel works on coordinates minus one centre, the midpoint of the
-live points' bounding box, so its error window err * (max|q|^2 + max|r|^2)
-scales with the data's spread, not with its distance from the origin; the
+The block kernel is the only one, and serves data in any unit.  It centres
+the coordinates on the midpoint m of the live bounding box, so its window
+scales with the data's spread, not its distance from the origin; the
 canonical kernel keeps the raw coordinates.  Centring rounds each coordinate
-once: x' = (x - m)(1 + e) with |e| <= 2**-53 per axis, so the centred
-difference of two points is off by at most 2**-53 (|x - m| + |y - m|) and
-their squared distance by at most 4 * 2**-53 * (|x'|^2 + |y'|^2) up to a
-factor 1 + O(2**-52).  Both windows carry a separate 2**-50 per unit of
-scale for it, twice that bound, so the centring round-off stays inside err.
+once, x' = (x - m)(1 + e) with |e| <= 2**-53, which moves a squared distance
+by at most 4 * 2**-53 * (|x'|^2 + |y'|^2) up to a factor 1 + O(2**-52); the
+window carries twice that, 2**-50 per unit of scale.  The kernel then scales
+by 2**-e, e the least integer, but at least -460, that brings every
+coordinate below 1 / sqrt(d), so squared norms stay below 1 and block values
+below 4.  Powers of two scale exactly: canonical weights and bounds enter
+block units by `np.ldexp(w, -2e)`, limits capped at 8 pass every block value
+but never the infinite masked diagonal, and data times 2**k (e + k) gives
+the same candidates.
+
+A block of q against r has the window err32 * S + floor, S = max|q|^2 +
+max|r|^2 in block units: err32 bounds float32 rounding relative to S, plus
+centring.  Relative bounds fail on float32 subnormals (below 2**-126), such
+as the products within a cluster far tighter than the data's spread; there
+a rounding errs by up to 2**-150 absolute.  Such terms come from the 2d
+coordinates rounded to float32 (each moves a product q_i r_i by at most
+2**-150, as |q_i|, |r_i| < 1) and the d products of q.r, all doubled by the
+factor 2, and from the two squared norms: (3d + 1) * 2**-149 in all, as sums
+with a subnormal result are exact.  The floor (4d + 8) * 2**-149 also covers
+rounding the window itself to float32 and a canonical weight's float64
+underflow, at most d * 2**-1075, which e >= -460 keeps below d * 2**-155.
 """
 
 from __future__ import annotations
@@ -93,13 +109,10 @@ BACKENDS = {"kd": KdTree, "ball": BallTree}
 
 _PRUNE_FACTOR = 1.0 - 1e-12  # never prune an exact boundary tie
 _K = 16  # nearest neighbours cached per point across Boruvka rounds
-# block kernels by scale (max|q|^2 + max|r|^2): float32 norms + product below
-# the first, float64 below the second, the canonical kernel above it
-_FLOAT32_SCALE = 1e30
-_FLOAT64_SCALE = 1e300
-# centring on the data rounds each coordinate once, which moves a squared
-# distance by at most 4 * 2**-53 * (1 + O(2**-52)) per unit of scale; this is
-# twice that (module docstring)
+# block kernel (module docstring): finite limit above every block value,
+# least scaling exponent, and centring round-off per unit of scale
+_THRESH_CAP = 8.0
+_MIN_EXP = -460
 _CENTRING_ERR = 2.0 ** -50
 
 
@@ -132,13 +145,16 @@ class DisjointSet:
 
     def roots_array(self) -> np.ndarray:
         """Component root of every element, resolved in bulk."""
-        parent = np.array(self.parent, dtype=np.intp)
-        roots = parent.copy()
-        while True:
-            nxt = parent[roots]
-            if np.array_equal(nxt, roots):
-                return roots
-            roots = nxt
+        return _resolve_roots(np.array(self.parent, dtype=np.intp))
+
+
+def _resolve_roots(parent: np.ndarray) -> np.ndarray:
+    """Root of every element of a parent array, by pointer jumping."""
+    while True:
+        jumped = parent[parent]
+        if np.array_equal(jumped, parent):
+            return parent
+        parent = jumped
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +176,6 @@ class _NodeState:
     """Per-node traversal state: static geometry caches plus per-round marks."""
 
     __slots__ = (
-        "node",
         "base",
         "left",
         "right",
@@ -168,8 +183,6 @@ class _NodeState:
         "ids",
         "fast",
         "sqn",
-        "fast32",
-        "sqn32",
         "max_sqn",
         "region",
         "roots",
@@ -178,18 +191,15 @@ class _NodeState:
     )
 
     def __init__(self, node, base: bool):
-        self.node = node
         self.base = base
         self.left = None
         self.right = None
         self.n_live = node.n_live
         self.ids = None
-        # fast-kernel copies (float64 and, below _FLOAT32_SCALE, float32) of
-        # the points minus the engine's centre, with their squared norms
+        # float32 block-kernel copies of the points, centred and scaled by
+        # the engine's 2**-e, with their squared norms (max_sqn in float64)
         self.fast = None
         self.sqn = None
-        self.fast32 = None
-        self.sqn32 = None
         self.max_sqn = 0.0
         # the node's plain-Python region snapshot, read by the pair bound
         self.region = node.region
@@ -216,11 +226,11 @@ class _DualTreeEngine:
         # the index's lower bound between two nodes' region snapshots
         self.region_min_sq = tree._region_min_sq
         base_cap = max(_base_capacity(tree.d), tree.leaf_capacity)
-        # Fast-kernel absolute error bounds per unit of (max|q|^2 + max|r|^2),
-        # for the float32 and float64 block kernels respectively, each plus
-        # the centring round-off (see the module docstring).
+        # block-kernel error bound per unit of scale, and its subnormal floor
         self.err32 = 8.0 * tree.d * 2.0 ** -24 + _CENTRING_ERR
-        self.err64 = 8.0 * tree.d * 2.0 ** -53 + _CENTRING_ERR
+        self.err_floor = (4 * tree.d + 8) * 2.0 ** -149
+        # the kernel works on centred coordinates times 2**-exp
+        self.exp = 0
         bases: list[_NodeState] = []
         self.root = self._snapshot(tree.root, base_cap, bases)
         live = [s.ids for s in bases]
@@ -234,8 +244,8 @@ class _DualTreeEngine:
         # pad short lists
         self.knn_w = None
         self.knn_id = None
-        # fast-kernel block buffers by dtype, for the traversal under way
-        self._bufs = {}
+        # block-kernel buffer pair, for the traversal under way
+        self._bufs = None
         # canonical weights the k-NN list pass computed
         self.knn_rederived = 0
         # components the last round sent to the tree traversal
@@ -248,35 +258,35 @@ class _DualTreeEngine:
             if base:
                 state.ids = np.sort(np.array(node.collect_live_ids(), dtype=np.intp))
                 bases.append(state)
+            else:
+                stack.append((state, node))
             return state
 
+        stack = []
         root_state = make(root)
-        stack = [root_state]
         while stack:
-            state = stack.pop()
-            if state.base:
-                continue
-            state.left = make(state.node.left)
-            state.right = make(state.node.right)
-            stack.append(state.left)
-            stack.append(state.right)
+            state, node = stack.pop()
+            state.left = make(node.left)
+            state.right = make(node.right)
         return root_state
 
     def _fill_fast(self, bases: list, live_coords: np.ndarray) -> None:
-        """Fast-kernel copies of every base node, centred on the live bounding box."""
+        """Block-kernel copies of every base node, centred and scaled by 2**-exp."""
         if not len(live_coords):
             return
         lo, hi = live_coords.min(axis=0), live_coords.max(axis=0)
         centre = lo + (hi - lo) / 2.0
+        reach = float(np.abs(live_coords - centre).max())
+        if reach > 0.0:
+            self.exp = max(math.frexp(reach * math.sqrt(self.d))[1], _MIN_EXP)
         for state in bases:
             if not len(state.ids):
                 continue  # never visited: the traversal skips empty nodes
-            state.fast = self.coords[state.ids] - centre
-            state.sqn = np.einsum("ij,ij->i", state.fast, state.fast)
-            state.max_sqn = float(state.sqn.max())
-            if state.max_sqn < _FLOAT32_SCALE:
-                state.fast32 = state.fast.astype(np.float32)
-                state.sqn32 = state.sqn.astype(np.float32)
+            fast = np.ldexp(self.coords[state.ids] - centre, -self.exp)
+            sqn = np.einsum("ij,ij->i", fast, fast)
+            state.max_sqn = float(sqn.max())
+            state.fast = fast.astype(np.float32)
+            state.sqn = sqn.astype(np.float32)
 
     def run_round(self, roots_all: np.ndarray, cand_sq, cand_u, cand_v) -> None:
         if self.knn_w is None:
@@ -410,60 +420,48 @@ class _DualTreeEngine:
             )
             for d, i in scored:
                 stack.append((d, *pairs[i]))
-        self._bufs.clear()
+        self._bufs = None
 
     def _block(self, qs: _NodeState, rs: _NodeState):
-        """Fast squared-distance block and its absolute error bound."""
-        scale = qs.max_sqn + rs.max_sqn
-        if scale < _FLOAT32_SCALE:
-            return self._fast_block(qs.sqn32, rs.sqn32, qs.fast32, rs.fast32), self.err32 * scale
-        if scale < _FLOAT64_SCALE:
-            return self._fast_block(qs.sqn, rs.sqn, qs.fast, rs.fast), self.err64 * scale
-        # squared norms near overflow: the canonical kernel, exact by definition
-        return cross_sq_dists(self.coords[qs.ids], self.coords[rs.ids]), 0.0
+        """Scaled squared-distance block |q|^2 + |r|^2 - 2 q.r and its error bound.
 
-    def _fast_block(self, qn, rn, qf, rf) -> np.ndarray:
-        """|q|^2 + |r|^2 - 2 q.r in a buffer that the next block overwrites.
-
-        The buffers live for one traversal.  A fresh block per base case
-        was measured to page-fault on every call once blocks near 1 MiB, as
-        the allocator hands such blocks back to the system when freed.
+        The block lives in a buffer that the next block overwrites.  The
+        buffers live for one traversal.  A fresh block per base case was
+        measured to page-fault on every call once blocks near 1 MiB, as the
+        allocator hands such blocks back to the system when freed.
         """
+        qn, rn = qs.sqn, rs.sqn
         size = len(qn) * len(rn)
-        bufs = self._bufs.get(qn.dtype)
+        bufs = self._bufs
         if bufs is None or len(bufs[0]) < size:
-            bufs = self._bufs[qn.dtype] = (np.empty(size, qn.dtype), np.empty(size, qn.dtype))
+            bufs = self._bufs = (np.empty(size, np.float32), np.empty(size, np.float32))
         w, prod = (b[:size].reshape(len(qn), len(rn)) for b in bufs)
         np.add(qn[:, None], rn[None, :], out=w)
-        np.matmul(qf, rf.T, out=prod)
+        np.matmul(qs.fast, rs.fast.T, out=prod)
         prod *= 2.0
         w -= prod
-        return w
+        return w, self.err32 * (qs.max_sqn + rs.max_sqn) + self.err_floor
 
     def _knn_base_case(self, qs: _NodeState, rs: _NodeState) -> None:
         w, err = self._block(qs, rs)
         if qs is rs:
             np.fill_diagonal(w, np.inf)
-        own, other = self._knn_candidates(w, self._knn_thresh(qs, w, err), err, by_row=True)
+        own, other = self._knn_candidates(w, self._knn_thresh(qs, err), err, by_row=True)
         p, q = qs.roots[own], rs.ids[other]
         if qs is not rs:
-            own, other = self._knn_candidates(w, self._knn_thresh(rs, w, err), err, by_row=False)
+            own, other = self._knn_candidates(w, self._knn_thresh(rs, err), err, by_row=False)
             p, q = np.concatenate((p, rs.roots[own])), np.concatenate((q, qs.ids[other]))
         if len(p):
             self._knn_merge(p, q)
 
-    def _knn_thresh(self, s: _NodeState, w, err: float) -> np.ndarray:
-        """Per-point limits on fast block values: K-th weight + err.
+    def _knn_thresh(self, s: _NodeState, err: float) -> np.ndarray:
+        """Per-point limits on block values: K-th weight in block units + err.
 
-        The limits stay finite, so the infinite diagonal never passes.
+        Rounded up to float32, and capped: the infinite diagonal never passes.
         """
-        thresh = self.knn_w[s.roots, -1] + err
-        if w.dtype == np.float32:
-            # float32 block values stay below 2 * _FLOAT32_SCALE; compare in
-            # float32 with the limit rounded up
-            thresh = np.minimum(thresh, 4.0 * _FLOAT32_SCALE).astype(np.float32)
-            return np.nextafter(thresh, np.float32(np.inf))
-        return np.minimum(thresh, np.finfo(np.float64).max)
+        thresh = np.ldexp(self.knn_w[s.roots, -1], -2 * self.exp) + err
+        thresh = np.minimum(thresh, _THRESH_CAP).astype(np.float32)
+        return np.nextafter(thresh, np.float32(np.inf))
 
     @staticmethod
     def _knn_candidates(w, thresh, err: float, by_row: bool):
@@ -526,7 +524,7 @@ class _DualTreeEngine:
     def _update_side(self, w, qs: _NodeState, rs: _NodeState, err: float) -> None:
         best_j = np.argmin(w, axis=1)
         best_w = np.take_along_axis(w, best_j[:, None], axis=1)[:, 0]
-        thresh = self.cand_sq[qs.roots] + err
+        thresh = np.ldexp(self.cand_sq[qs.roots], -2 * self.exp) + err
         rows = np.nonzero((best_w <= thresh) & (best_w < np.inf))[0]
         if not len(rows):
             return
@@ -657,12 +655,7 @@ def _boruvka_edges(engine: _DualTreeEngine, n: int, lone: np.ndarray | None = No
             raise RuntimeError("Boruvka round made no progress")  # unreachable
         hook = np.arange(n)
         hook[comp] = np.where(root, comp, other)
-        while True:
-            jumped = hook[hook]
-            if np.array_equal(jumped, hook):
-                break
-            hook = jumped
-        labels = hook[labels]
+        labels = _resolve_roots(hook)[labels]
         us.append(u[keep])
         vs.append(v[keep])
         sqs.append(cand_sq[comp[keep]])

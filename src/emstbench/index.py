@@ -119,7 +119,6 @@ class SpatialIndex:
     def __init__(self, dataset: Dataset, leaf_capacity: int = 20):
         if leaf_capacity < 1:
             raise ValueError(f"leaf_capacity must be >= 1, got {leaf_capacity}")
-        self.dataset = dataset
         self.leaf_capacity = leaf_capacity
         self.d = dataset.d
         self._coords = np.array(dataset.coords)  # row index == point id

@@ -110,8 +110,6 @@ class KdNode(IndexNode):
 class KdTree(SpatialIndex):
     """Kd-tree over a dataset, supporting insert, delete, and exact k-NN."""
 
-    backend_name = "kd"
-
     def _make_node(self, ids: np.ndarray) -> KdNode:
         pts = self._coords[ids]
         return KdNode(pts.min(axis=0), pts.max(axis=0))

@@ -278,19 +278,31 @@ def brute_lists(index):
 
 
 def tie_heavy_coords(kind, n, rng):
-    """n copies of 1-4 sites, n points offset by 10-1e4, or an integer lattice.
+    """n copies of 1-4 sites, n points offset by 10-1e4 or scaled by 1e-200 to
+    1e-155, an integer lattice, or a sub-scale cluster.
 
     A lattice holds 300-576 points, more than one base node of the k-NN
     pass, so later merges meet list entries that tie with their candidates.
+    A sub-scale set holds two points at +-1 on every axis and 300-600 points
+    within +-1e-21 of the origin, so whole base nodes lie in the cluster and
+    the block kernel's products there are float32 subnormals.  Like a
+    lattice it ignores n.  Scaled by 1e-155 or less, points have canonical
+    weights that are float64 subnormals or 0.
     """
     if kind == "lattice":
         d = int(rng.integers(2, 4))
         side = 24 if d == 2 else 8
         cells = rng.permutation(side**d)[: int(rng.integers(300, 577))]
         return np.array(np.unravel_index(cells, (side,) * d), dtype=float).T
+    if kind == "subscale":
+        d = int(rng.integers(2, 4))
+        cluster = rng.uniform(-1e-21, 1e-21, (int(rng.integers(300, 601)), d))
+        return np.vstack([np.ones((1, d)), -np.ones((1, d)), cluster])
     if kind == "sites":
         sites = rng.random((int(rng.integers(1, 5)), int(rng.integers(1, 4))))
         return sites[rng.integers(0, len(sites), n)]
+    if kind == "underflow":
+        return 10.0 ** rng.uniform(-200.0, -155.0) * rng.random((n, int(rng.integers(1, 4))))
     return 10.0 ** rng.uniform(1.0, 4.0) + rng.random((n, int(rng.choice([2, 3, 8, 15]))))
 
 
@@ -357,9 +369,9 @@ class TestNeighborLists:
         assert kd == ball == kr
 
     @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
-        st.sampled_from(["lattice", "sites", "offset"]),
+        st.sampled_from(["lattice", "sites", "offset", "subscale", "underflow"]),
         st.integers(2, 80),
         st.integers(1, 20),
         st.integers(0, 2**32 - 1),
@@ -478,6 +490,14 @@ class TestNeighborLists:
             counts.append(index._emst_engine.knn_rederived)
         assert counts[0] > 0
         assert counts[1] <= 1.5 * counts[0]
+        # and scaled by a power of two, so every count is exactly the same
+        coords = generate_synthetic(2000, 3, "uniform", 5).coords
+        counts = []
+        for k in (0, -100, 100, 450):
+            index = backend_cls(Dataset(np.ldexp(coords, k)), 20)
+            find_component_neighbors(index, DisjointSet(2000))
+            counts.append(index._emst_engine.knn_rederived)
+        assert counts[1:] == [counts[0]] * 3
 
     @pytest.mark.parametrize("backend_cls, count", [(KdTree, 40436), (BallTree, 42495)])
     def test_list_pass_rederivations_are_pinned(self, backend_cls, count):
