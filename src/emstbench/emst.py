@@ -48,13 +48,21 @@ components go through the tree traversal, starting from their list bound.
 
 The traversal prunes a node pair when both sides sit inside one component,
 when neither side holds an unsettled component, or when the
-region-to-region lower bound exceeds the current bound of every component
-(in the list pass: every point) present on either side.  Small-enough
-subtrees become base cases: their cross-distance block is computed with a
-float32 norms + matrix-product kernel, which is fast but not bitwise-canonical,
-so candidates are re-derived with the canonical kernel among everything
-within a rigorous floating-point error window.  Weights stored and compared
-are therefore always canonical.
+region-to-region lower bound exceeds both sides' node bounds.  A base
+node's bound is the largest current bound of the components (in the list
+pass: the points) it holds, an internal node's the larger of its
+children's.  Each traversal sets them bottom-up, and every base case lowers
+its two base nodes' bounds and then their ancestors'.  A component's bound
+only falls, so a node bound left stale, as when a base case elsewhere lowers
+a component that this node also holds, is still an upper bound and every
+prune it allows is sound.  In the list pass each point lies in one base
+node, whose base cases alone change its list, so no bound is stale there.
+
+Small-enough subtrees become base cases: their cross-distance block is
+computed with a float32 norms + matrix-product kernel, which is fast but not
+bitwise-canonical, so candidates are re-derived with the canonical kernel
+among everything within a rigorous floating-point error window.  Weights
+stored and compared are therefore always canonical.
 
 The block kernel is the only one, and serves data in any unit.  It centres
 the coordinates on the midpoint m of the live bounding box, so its window
@@ -173,12 +181,17 @@ def _base_capacity(d: int) -> int:
 
 
 class _NodeState:
-    """Per-node traversal state: static geometry caches plus per-round marks."""
+    """Per-node traversal state: static geometry caches plus per-round marks.
+
+    Internal nodes are marked with `comp` and `bound` only; base nodes also
+    keep their points' `roots` and distinct `comps`.
+    """
 
     __slots__ = (
         "base",
         "left",
         "right",
+        "parent",
         "n_live",
         "ids",
         "fast",
@@ -188,12 +201,16 @@ class _NodeState:
         "roots",
         "comps",
         "comp",
+        "bound",
     )
 
-    def __init__(self, node, base: bool):
+    def __init__(self, node, base: bool, parent: int):
         self.base = base
         self.left = None
         self.right = None
+        # the parent's index in the engine's node list, -1 at the root: an
+        # index, not a reference, keeps the states free of reference cycles
+        self.parent = parent
         self.n_live = node.n_live
         self.ids = None
         # float32 block-kernel copies of the points, centred and scaled by
@@ -206,6 +223,7 @@ class _NodeState:
         self.roots = None
         self.comps = None
         self.comp = -1
+        self.bound = -math.inf
 
 
 class _DualTreeEngine:
@@ -231,8 +249,10 @@ class _DualTreeEngine:
         self.err_floor = (4 * tree.d + 8) * 2.0 ** -149
         # the kernel works on centred coordinates times 2**-exp
         self.exp = 0
-        bases: list[_NodeState] = []
-        self.root = self._snapshot(tree.root, base_cap, bases)
+        # parents before children: reversed, the list runs bottom-up
+        self.nodes = self._snapshot(tree.root, base_cap)
+        self.root = self.nodes[0]
+        bases = [s for s in self.nodes if s.base]
         live = [s.ids for s in bases]
         self.live = np.sort(np.concatenate(live)) if live else np.empty(0, dtype=np.intp)
         self.max_id = int(self.live[-1]) if len(self.live) else -1
@@ -251,24 +271,26 @@ class _DualTreeEngine:
         # components the last round sent to the tree traversal
         self.fallback_components = 0
 
-    def _snapshot(self, root, base_cap: int, bases: list) -> _NodeState:
-        def make(node) -> _NodeState:
+    def _snapshot(self, root, base_cap: int) -> list[_NodeState]:
+        nodes: list[_NodeState] = []
+
+        def make(node, parent: int) -> _NodeState:
             base = node.is_leaf or node.n_live <= base_cap
-            state = _NodeState(node, base)
+            state = _NodeState(node, base, parent)
             if base:
                 state.ids = np.sort(np.array(node.collect_live_ids(), dtype=np.intp))
-                bases.append(state)
             else:
-                stack.append((state, node))
+                stack.append((len(nodes), node))
+            nodes.append(state)
             return state
 
         stack = []
-        root_state = make(root)
+        make(root, -1)
         while stack:
-            state, node = stack.pop()
-            state.left = make(node.left)
-            state.right = make(node.right)
-        return root_state
+            i, node = stack.pop()
+            nodes[i].left = make(node.left, i)
+            nodes[i].right = make(node.right, i)
+        return nodes
 
     def _fill_fast(self, bases: list, live_coords: np.ndarray) -> None:
         """Block-kernel copies of every base node, centred and scaled by 2**-exp."""
@@ -306,7 +328,7 @@ class _DualTreeEngine:
         cand_sq[settled] = -np.inf
         self.bound = cand_sq
         self.prune_at_zero = len(settled) > 0
-        self._mark(self.root, roots_all)
+        self._mark(roots_all)
         self._visit(self.root, self.root, 0.0, self._base_case)
         cand_sq[settled] = kept
 
@@ -321,7 +343,7 @@ class _DualTreeEngine:
         # by its current K-th weight; base nodes' `roots` are then list rows
         self.bound = self.knn_w[:, -1]
         self.prune_at_zero = False
-        self._mark(self.root, row_of)
+        self._mark(row_of)
         self._visit(self.root, self.root, 0.0, self._knn_base_case)
 
     def _answer_from_lists(self, roots_all: np.ndarray) -> np.ndarray:
@@ -348,40 +370,42 @@ class _DualTreeEngine:
         self.cand_u[c] = u[best]
         self.cand_v[c] = v[best]
         blocked = ~has & (w[:, -1] <= self.cand_sq[own])
-        return np.unique(own[blocked])
+        return _distinct(own[blocked])
 
-    def _mark(self, root: _NodeState, roots_all: np.ndarray) -> None:
-        """Refresh component containment marks for the current partition."""
-        stack = [(root, False)]
-        while stack:
-            state, processed = stack.pop()
-            if state.base:
-                if len(state.ids):
-                    state.roots = roots_all[state.ids]
-                    state.comps = np.unique(state.roots)
-                    state.comp = int(state.comps[0]) if len(state.comps) == 1 else -1
-                else:
-                    state.comps = np.empty(0, dtype=np.intp)
-                    state.comp = -1
-            elif not processed:
-                stack.append((state, True))
-                stack.append((state.left, False))
-                stack.append((state.right, False))
-            else:
+    def _mark(self, roots_all: np.ndarray) -> None:
+        """Mark every node's component and bound for the current partition.
+
+        A base node's bound is the largest bound of its components, an
+        internal node's the larger of its children's.
+        """
+        bound = self.bound
+        for state in reversed(self.nodes):
+            if not state.base:
                 ls, rs = state.left, state.right
-                if ls.comp >= 0 and ls.comp == rs.comp:
-                    state.comps = ls.comps
-                    state.comp = ls.comp
-                else:
-                    state.comps = np.union1d(ls.comps, rs.comps)
-                    state.comp = -1
+                state.comp = ls.comp if ls.comp >= 0 and ls.comp == rs.comp else -1
+                state.bound = max(ls.bound, rs.bound)
+            elif len(state.ids):
+                state.roots = roots_all[state.ids]
+                state.comps = _distinct(state.roots)
+                state.comp = int(state.comps[0]) if len(state.comps) == 1 else -1
+                state.bound = float(bound[state.comps].max())
+
+    def _lower(self, state: _NodeState) -> None:
+        """Refresh a base node's bound after a base case, and its ancestors'."""
+        nodes = self.nodes
+        new = float(self.bound[state.comps].max())
+        while new < state.bound:
+            state.bound = new
+            if state.parent < 0:
+                break
+            state = nodes[state.parent]
+            new = max(state.left.bound, state.right.bound)
 
     def _visit(self, a: _NodeState, b: _NodeState, dmin: float, base_case) -> None:
         # depth-first over node pairs, nearest child pair descended first;
         # an explicit stack (farthest pushed first) reproduces that order
         # without recursion-depth limits on lopsided trees
         min_sq = self.region_min_sq
-        bound = self.bound
         prune_at_zero = self.prune_at_zero
         stack = [(dmin, a, b)]
         while stack:
@@ -393,11 +417,14 @@ class _DualTreeEngine:
                 continue
             if dmin > 0.0 or prune_at_zero:
                 limit = dmin * _PRUNE_FACTOR
-                if limit > float(bound[a.comps].max()) and limit > float(bound[b.comps].max()):
+                if limit > a.bound and limit > b.bound:
                     continue
             if a.base:
                 if b.base:
                     base_case(a, b)
+                    self._lower(a)
+                    if b is not a:
+                        self._lower(b)
                     continue
                 pairs = ((a, b.left), (a, b.right))
             elif b.base:
@@ -492,11 +519,14 @@ class _DualTreeEngine:
         values by real part, then imaginary part, so one sort along the rows
         orders every row by (weight, id); ids stay below 2**53, exact in the
         imaginary part.  The K first entries of a row are its merged list.
+
+        Each row's candidates must lie contiguously in `p`, as
+        `_knn_base_case` hands them over: one ascending run of rows for a
+        self block, else two ascending runs over the disjoint rows of its two
+        base nodes.
         """
         wq = sq_dists(self.coords[self.live[p]], self.coords[q])
         self.knn_rederived += len(wq)
-        order = np.argsort(p, kind="stable")
-        p, wq, q = p[order], wq[order], q[order]
         heads = np.ones(len(p), dtype=bool)
         heads[1:] = p[1:] != p[:-1]
         group = np.cumsum(heads) - 1
@@ -548,12 +578,39 @@ class _DualTreeEngine:
 
 
 def _least_per_group(group: np.ndarray, w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Index of each group's least entry under (w, u, v), groups ascending."""
-    order = np.lexsort((v, u, w, group))
-    g = group[order]
-    heads = np.ones(len(g), dtype=bool)
-    heads[1:] = g[1:] != g[:-1]
-    return order[heads]
+    """Index of each group's least entry under (w, u, v), groups ascending.
+
+    Sort-free: one `np.minimum.at` pass per key keeps the entries that equal
+    their group's least key among the entries the passes before kept, and
+    the least kept index of each group, ascending by group, answers once no
+    group keeps two entries (after all three keys: the first of full ties).
+    """
+    n = len(group)
+    if not n:
+        return np.empty(0, dtype=np.intp)
+    size = int(group.max()) + 1
+    kept, g = np.arange(n), group
+    for key in (w, u, v):
+        k = key[kept]
+        least = np.empty(size, k.dtype)
+        least[g] = k  # each present group starts at one of its own keys
+        np.minimum.at(least, g, k)
+        tie = k == least[g]
+        kept, g = kept[tie], g[tie]
+        first = np.full(size, n)
+        np.minimum.at(first, g, kept)
+        first = first[first < n]
+        if len(first) == len(kept):
+            break
+    return first
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer array, as `np.unique` without its overhead."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def _engine_for(index) -> _DualTreeEngine:

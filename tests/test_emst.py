@@ -25,7 +25,7 @@ from emstbench import (
     validate_spanning_tree,
 )
 from emstbench.core import cross_sq_dists, sq_dists
-from emstbench.emst import _K, _DualTreeEngine, _naive_candidates
+from emstbench.emst import _K, _DualTreeEngine, _least_per_group, _naive_candidates, _NodeState
 from conftest import random_dataset
 
 
@@ -461,6 +461,25 @@ class TestNeighborLists:
             gc.enable()
 
     @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+    def test_node_states_die_with_their_index_without_the_cyclic_collector(
+        self, rng, backend_cls
+    ):
+        """Node states link to their parents by index, so they form no cycle."""
+        gc.collect()
+        gc.disable()
+        try:
+            index = backend_cls(random_dataset(rng, 2000, 3), 8)
+            find_component_neighbors(index, DisjointSet(2000))
+            del index
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            assert not any(isinstance(o, _NodeState) for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+
+    @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
     def test_tree_dies_without_the_cyclic_collector(self, rng, backend_cls):
         n = 2000
         index = backend_cls(random_dataset(rng, n, 3), 20)
@@ -499,12 +518,35 @@ class TestNeighborLists:
             counts.append(index._emst_engine.knn_rederived)
         assert counts[1:] == [counts[0]] * 3
 
-    @pytest.mark.parametrize("backend_cls, count", [(KdTree, 40436), (BallTree, 42495)])
-    def test_list_pass_rederivations_are_pinned(self, backend_cls, count):
+    @pytest.mark.parametrize(
+        "backend_cls, count, d",
+        [
+            pytest.param(KdTree, 40436, 3, id="KdTree-40436"),
+            pytest.param(BallTree, 42495, 3, id="BallTree-42495"),
+            # at d=15 kd checks bounds that never prune, so this pins the node bounds
+            pytest.param(KdTree, 56157, 15, id="KdTree-d15-56157"),
+            pytest.param(BallTree, 63020, 15, id="BallTree-d15-63020"),
+        ],
+    )
+    def test_list_pass_rederivations_are_pinned(self, backend_cls, count, d):
         # candidate selection may change how it finds entries, not which
-        index = backend_cls(generate_synthetic(2000, 3, "uniform", 5), 20)
+        index = backend_cls(generate_synthetic(2000, d, "uniform", 5), 20)
         find_component_neighbors(index, DisjointSet(2000))
         assert index._emst_engine.knn_rederived == count
+
+    @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+    def test_node_bounds_are_exact_after_the_list_pass(self, backend_cls):
+        """Each base case lowers its base nodes' bounds and their ancestors'."""
+        index = backend_cls(generate_synthetic(2000, 3, "uniform", 5), 20)
+        find_component_neighbors(index, DisjointSet(2000))
+        engine = index._emst_engine
+        assert engine.fallback_components == 0  # no traversal after the list pass
+        kth = engine.knn_w[:, -1]
+        for state in engine.nodes:
+            if not state.base:
+                assert state.bound == max(state.left.bound, state.right.bound)
+            elif len(state.ids):
+                assert state.bound == kth[np.searchsorted(engine.live, state.ids)].max()
 
     @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
     def test_duplicate_sites_send_components_to_the_tree(self, rng, backend_cls):
@@ -513,6 +555,29 @@ class TestNeighborLists:
         index = backend_cls(ds, 20)
         counts = [index._emst_engine.fallback_components for _ in boruvka_rounds(index, ds.n)]
         assert counts[0] == 0 and sum(counts[1:]) > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0, 3, 4, 250]),
+            st.integers(0, 3),
+            st.integers(0, 4),
+            st.integers(0, 4),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_least_per_group_equals_lexsort_heads(entries):
+    """Integer weights, few groups and shared endpoints: ties on every key."""
+    group, w, u, v = (np.array(col) for col in zip(*entries))
+    w = w.astype(float)
+    order = np.lexsort((v, u, w, group))
+    heads = np.ones(len(order), dtype=bool)
+    heads[1:] = group[order][1:] != group[order][:-1]
+    np.testing.assert_array_equal(_least_per_group(group, w, u, v), order[heads])
 
 
 def dsu_route(index, n):
