@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import Point, generate_synthetic
+from .core import DISTRIBUTIONS, Point, draw_coords, generate_synthetic
 from .emst import BACKENDS, dual_tree_boruvka
 
 __all__ = [
@@ -58,7 +58,7 @@ class BenchConfig:
             raise ValueError(f"sizes must be non-empty positive ints, got {self.sizes}")
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError(f"dims must be non-empty positive ints, got {self.dims}")
-        if self.distribution not in ("uniform", "gaussian"):
+        if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.trials < 3:
             raise ValueError(f"trials must be >= 3 for a meaningful median, got {self.trials}")
@@ -123,12 +123,6 @@ def _workload_rng(seed: int, n: int, d: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, n, d)))
 
 
-def _draw(rng: np.random.Generator, count: int, d: int, distribution: str) -> np.ndarray:
-    if distribution == "uniform":
-        return rng.random((count, d))
-    return rng.standard_normal((count, d))
-
-
 def _time_cell(fn, trials: int, setup=lambda: None) -> list[float]:
     """Milliseconds of `trials` calls fn(setup()) after one untimed warmup.
 
@@ -154,9 +148,9 @@ def run_suite(cfg: BenchConfig) -> BenchmarkReport:
             ds = generate_synthetic(n, d, cfg.distribution, cfg.seed)
             rng = _workload_rng(cfg.seed, n, d)
             mutations = cfg.mutation_count if cfg.mutation_count is not None else max(1, n // 10)
-            insert_coords = _draw(rng, mutations, d, cfg.distribution)
+            insert_coords = draw_coords(rng, mutations, d, cfg.distribution)
             delete_ids = rng.choice(n, size=min(mutations, n), replace=False).tolist()
-            query_coords = _draw(rng, cfg.knn_queries, d, cfg.distribution)
+            query_coords = draw_coords(rng, cfg.knn_queries, d, cfg.distribution)
             for backend in cfg.backends:
                 for operation in cfg.operations:
                     try:

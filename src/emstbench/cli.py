@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .bench import BenchConfig, emit_report, run_suite
-from .core import fmt17, generate_synthetic, load_dataset, write_dataset
+from .core import DISTRIBUTIONS, fmt17, generate_synthetic, load_dataset, write_dataset
 from .emst import dual_tree_boruvka, kruskal_mst, naive_boruvka, write_edges
 from .slink import single_linkage, write_labels
 
@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a synthetic CSV dataset")
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--d", type=int, required=True)
-    gen.add_argument("--dist", choices=("uniform", "gaussian"), default="uniform")
+    gen.add_argument("--dist", choices=DISTRIBUTIONS, default="uniform")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
 
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--config", help="JSON file with BenchConfig fields")
     bench.add_argument("--sizes", type=_int_list)
     bench.add_argument("--dims", type=_int_list)
-    bench.add_argument("--dist", choices=("uniform", "gaussian"))
+    bench.add_argument("--dist", choices=DISTRIBUTIONS)
     bench.add_argument("--seed", type=int)
     bench.add_argument("--trials", type=int)
     bench.add_argument("--knn-queries", type=int)

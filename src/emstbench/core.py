@@ -244,14 +244,16 @@ def generate_synthetic(n: int, d: int, distribution: str = "uniform", seed: int 
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    return Dataset(draw_coords(np.random.default_rng(seed), n, d, distribution))
+
+
+def draw_coords(rng: np.random.Generator, count: int, d: int, distribution: str) -> np.ndarray:
+    """`count` points in d dimensions from `rng`: uniform on [0, 1) or standard normal."""
     if distribution not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}, expected one of {DISTRIBUTIONS}")
-    rng = np.random.default_rng(seed)
     if distribution == "uniform":
-        coords = rng.random((n, d))
-    else:
-        coords = rng.standard_normal((n, d))
-    return Dataset(coords)
+        return rng.random((count, d))
+    return rng.standard_normal((count, d))
 
 
 def load_dataset(path, format: str = "csv") -> Dataset:

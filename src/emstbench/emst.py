@@ -47,16 +47,23 @@ greater than that bound; a tie leaves it unsettled.  Only unsettled
 components go through the tree traversal, starting from their list bound.
 
 The traversal prunes a node pair when both sides sit inside one component,
-when neither side holds an unsettled component, or when the
-region-to-region lower bound exceeds both sides' node bounds.  A base
-node's bound is the largest current bound of the components (in the list
-pass: the points) it holds, an internal node's the larger of its
-children's.  Each traversal sets them bottom-up, and every base case lowers
-its two base nodes' bounds and then their ancestors'.  A component's bound
-only falls, so a node bound left stale, as when a base case elsewhere lowers
-a component that this node also holds, is still an upper bound and every
-prune it allows is sound.  In the list pass each point lies in one base
-node, whose base cases alone change its list, so no bound is stale there.
+or when the region-to-region lower bound exceeds both sides' node bounds.
+Settled components carry a bound of -inf, so a pair that holds no unsettled
+component is pruned even at distance 0.  A base node's bound is the largest
+current bound of the components (in the list pass: the points) it holds, an
+internal node's the larger of its children's.  Each traversal sets them
+bottom-up, and every base case lowers its two base nodes' bounds and then
+their ancestors'.  A component's bound only falls, so a node bound left
+stale, as when a base case elsewhere lowers a component that this node also
+holds, is still an upper bound and every prune it allows is sound.  In the
+list pass each point lies in one base node, whose base cases alone change
+its list, so no bound is stale there.
+
+Both base cases admit a point's block entries by one limit rule: the bound
+of its component (in the list pass: its K-th weight) in block units, plus
+the block's error window, rounded up to float32 and capped.  Rounding up
+only admits more entries, the cap keeps the masked (infinite) entries out,
+and a settled component's -inf bound admits none.
 
 Small-enough subtrees become base cases: their cross-distance block is
 computed with a float32 norms + matrix-product kernel, which is fast but not
@@ -183,8 +190,8 @@ def _base_capacity(d: int) -> int:
 class _NodeState:
     """Per-node traversal state: static geometry caches plus per-round marks.
 
-    Internal nodes are marked with `comp` and `bound` only; base nodes also
-    keep their points' `roots` and distinct `comps`.
+    Every node is marked with `comp` and `bound`; base nodes also keep their
+    points' `roots`.
     """
 
     __slots__ = (
@@ -199,7 +206,6 @@ class _NodeState:
         "max_sqn",
         "region",
         "roots",
-        "comps",
         "comp",
         "bound",
     )
@@ -221,7 +227,6 @@ class _NodeState:
         # the node's plain-Python region snapshot, read by the pair bound
         self.region = node.region
         self.roots = None
-        self.comps = None
         self.comp = -1
         self.bound = -math.inf
 
@@ -327,7 +332,6 @@ class _DualTreeEngine:
         kept = cand_sq[settled]
         cand_sq[settled] = -np.inf
         self.bound = cand_sq
-        self.prune_at_zero = len(settled) > 0
         self._mark(roots_all)
         self._visit(self.root, self.root, 0.0, self._base_case)
         cand_sq[settled] = kept
@@ -342,7 +346,6 @@ class _DualTreeEngine:
         # each point is its own component, named by its list row and bounded
         # by its current K-th weight; base nodes' `roots` are then list rows
         self.bound = self.knn_w[:, -1]
-        self.prune_at_zero = False
         self._mark(row_of)
         self._visit(self.root, self.root, 0.0, self._knn_base_case)
 
@@ -370,13 +373,14 @@ class _DualTreeEngine:
         self.cand_u[c] = u[best]
         self.cand_v[c] = v[best]
         blocked = ~has & (w[:, -1] <= self.cand_sq[own])
-        return _distinct(own[blocked])
+        # distinct, ascending: `np.unique` imports `numpy.ma` (1.6 MB) on first use
+        return np.flatnonzero(np.bincount(own[blocked]))
 
     def _mark(self, roots_all: np.ndarray) -> None:
         """Mark every node's component and bound for the current partition.
 
-        A base node's bound is the largest bound of its components, an
-        internal node's the larger of its children's.
+        A base node's bound is the largest bound of its points' components,
+        an internal node's the larger of its children's.
         """
         bound = self.bound
         for state in reversed(self.nodes):
@@ -385,15 +389,14 @@ class _DualTreeEngine:
                 state.comp = ls.comp if ls.comp >= 0 and ls.comp == rs.comp else -1
                 state.bound = max(ls.bound, rs.bound)
             elif len(state.ids):
-                state.roots = roots_all[state.ids]
-                state.comps = _distinct(state.roots)
-                state.comp = int(state.comps[0]) if len(state.comps) == 1 else -1
-                state.bound = float(bound[state.comps].max())
+                roots = state.roots = roots_all[state.ids]
+                state.comp = int(roots[0]) if (roots == roots[0]).all() else -1
+                state.bound = float(bound[roots].max())
 
     def _lower(self, state: _NodeState) -> None:
         """Refresh a base node's bound after a base case, and its ancestors'."""
         nodes = self.nodes
-        new = float(self.bound[state.comps].max())
+        new = float(self.bound[state.roots].max())
         while new < state.bound:
             state.bound = new
             if state.parent < 0:
@@ -406,7 +409,6 @@ class _DualTreeEngine:
         # an explicit stack (farthest pushed first) reproduces that order
         # without recursion-depth limits on lopsided trees
         min_sq = self.region_min_sq
-        prune_at_zero = self.prune_at_zero
         stack = [(dmin, a, b)]
         while stack:
             dmin, a, b = stack.pop()
@@ -415,10 +417,9 @@ class _DualTreeEngine:
             acomp = a.comp
             if acomp >= 0 and acomp == b.comp:
                 continue
-            if dmin > 0.0 or prune_at_zero:
-                limit = dmin * _PRUNE_FACTOR
-                if limit > a.bound and limit > b.bound:
-                    continue
+            limit = dmin * _PRUNE_FACTOR
+            if limit > a.bound and limit > b.bound:
+                continue
             if a.base:
                 if b.base:
                     base_case(a, b)
@@ -473,43 +474,39 @@ class _DualTreeEngine:
         w, err = self._block(qs, rs)
         if qs is rs:
             np.fill_diagonal(w, np.inf)
-        own, other = self._knn_candidates(w, self._knn_thresh(qs, err), err, by_row=True)
+        own, other = self._knn_candidates(w, self._limits(qs, err), err)
         p, q = qs.roots[own], rs.ids[other]
         if qs is not rs:
-            own, other = self._knn_candidates(w, self._knn_thresh(rs, err), err, by_row=False)
+            own, other = self._knn_candidates(w.T, self._limits(rs, err), err)
             p, q = np.concatenate((p, rs.roots[own])), np.concatenate((q, qs.ids[other]))
         if len(p):
             self._knn_merge(p, q)
 
-    def _knn_thresh(self, s: _NodeState, err: float) -> np.ndarray:
-        """Per-point limits on block values: K-th weight in block units + err.
-
-        Rounded up to float32, and capped: the infinite diagonal never passes.
-        """
-        thresh = np.ldexp(self.knn_w[s.roots, -1], -2 * self.exp) + err
-        thresh = np.minimum(thresh, _THRESH_CAP).astype(np.float32)
-        return np.nextafter(thresh, np.float32(np.inf))
+    def _limits(self, s: _NodeState, err: float) -> np.ndarray:
+        """Per-point limits on block values, by the one limit rule (module docstring)."""
+        limits = np.ldexp(self.bound[s.roots], -2 * self.exp) + err
+        limits = np.minimum(limits, _THRESH_CAP).astype(np.float32)
+        return np.nextafter(limits, np.float32(np.inf))
 
     @staticmethod
-    def _knn_candidates(w, thresh, err: float, by_row: bool):
+    def _knn_candidates(w, limits, err: float):
         """Block entries (owner index, other index) that may enter the owner's list.
 
-        Owners are the rows of `w` (`by_row`) or its columns; the pairs of
-        each owner come in ascending order of the other index.  An entry can
-        enter an owner's list only if its canonical weight is at most the
-        owner's current K-th weight and at most the owner's K-th smallest
-        canonical weight in this block; within the error window that means a
-        fast value <= min(K-th + err, K-th smallest fast value + 2 err).
-        The finite limits also exclude the masked (infinite) diagonal.
+        Owners are the rows of `w`; the pairs of each owner come in ascending
+        order of the other index.  An entry can enter an owner's list only if
+        its canonical weight is at most the owner's current K-th weight and
+        at most the owner's K-th smallest canonical weight in this block;
+        within the error window that means a fast value <= min(K-th + err,
+        K-th smallest fast value + 2 err).  The finite limits also exclude
+        the masked (infinite) diagonal.
         """
-        wt = w if by_row else w.T
-        hit = wt <= thresh[:, None]
+        hit = w <= limits[:, None]
         crowded = np.flatnonzero(np.count_nonzero(hit, axis=1) > _K)
         if len(crowded):
-            sub = wt[crowded]
+            sub = w[crowded]
             limit = np.partition(sub, _K - 1, axis=1)[:, _K - 1] + 2.0 * err
             hit[crowded] &= sub <= limit[:, None]
-        return np.divmod(np.flatnonzero(hit), wt.shape[1])
+        return np.divmod(np.flatnonzero(hit), w.shape[1])
 
     def _knn_merge(self, p: np.ndarray, q: np.ndarray) -> None:
         """Merge candidates (list row p, point id q) into the lists with one sort.
@@ -552,10 +549,8 @@ class _DualTreeEngine:
             self._update_side(w.T, rs, qs, err)
 
     def _update_side(self, w, qs: _NodeState, rs: _NodeState, err: float) -> None:
-        best_j = np.argmin(w, axis=1)
-        best_w = np.take_along_axis(w, best_j[:, None], axis=1)[:, 0]
-        thresh = np.ldexp(self.cand_sq[qs.roots], -2 * self.exp) + err
-        rows = np.nonzero((best_w <= thresh) & (best_w < np.inf))[0]
+        best_w = w.min(axis=1)
+        rows = np.nonzero(best_w <= self._limits(qs, err))[0]
         if not len(rows):
             return
         # every pair whose canonical weight could win sits within 2*err of
@@ -603,14 +598,6 @@ def _least_per_group(group: np.ndarray, w: np.ndarray, u: np.ndarray, v: np.ndar
         if len(first) == len(kept):
             break
     return first
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of an integer array, as `np.unique` without its overhead."""
-    a = np.sort(a)
-    keep = np.ones(len(a), dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
 
 
 def _engine_for(index) -> _DualTreeEngine:

@@ -258,7 +258,6 @@ class SpatialIndex:
         while parent is not None:
             parent.n_tomb -= removed_tombs
             parent = parent.parent
-        self._mutations += 1
 
     # -- search -------------------------------------------------------------
 

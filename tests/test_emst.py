@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -547,6 +548,73 @@ class TestNeighborLists:
                 assert state.bound == max(state.left.bound, state.right.bound)
             elif len(state.ids):
                 assert state.bound == kth[np.searchsorted(engine.live, state.ids)].max()
+
+    @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+    def test_node_marks_are_exact_on_a_round_partition(self, backend_cls):
+        """A base node's comp is its points' one component or -1, its bound their largest."""
+        rng = np.random.default_rng(11)
+        sites = rng.random((150, 3))
+        ds = Dataset(sites[rng.integers(0, 150, 3000)])
+        index = backend_cls(ds, 20)
+        single = []
+        for dsu, _ in boruvka_rounds(index, ds.n):
+            engine = index._emst_engine
+            if not engine.fallback_components:
+                continue
+            labels = dsu.roots_array()
+            bound = rng.random(ds.n)
+            bound[rng.choice(ds.n, ds.n // 3, replace=False)] = -np.inf  # settled components
+            engine.bound = bound
+            engine._mark(labels)
+            for state in engine.nodes:
+                if not state.base:
+                    ls, rs = state.left, state.right
+                    assert state.comp == (ls.comp if ls.comp == rs.comp else -1)
+                    assert state.bound == max(ls.bound, rs.bound)
+                elif len(state.ids):
+                    comps = np.unique(labels[state.ids])
+                    assert state.comp == (comps[0] if len(comps) == 1 else -1)
+                    assert state.bound == bound[comps].max()
+                    single.append(state.comp >= 0)
+        assert any(single) and not all(single)
+
+    def test_limits_admit_entries_up_to_the_bound(self):
+        """One limit rule: -inf admits nothing, +inf every finite value, b at least b + err."""
+        index = KdTree(generate_synthetic(600, 3, "uniform", 3), 20)
+        find_component_neighbors(index, DisjointSet(600))
+        engine = index._emst_engine
+        bases = [s for s in engine.nodes if s.base and len(s.ids)]
+        blocks = [engine._block(a, b)[0].copy() for a in bases for b in bases]
+        err = engine._block(bases[0], bases[-1])[1]
+        finite = np.random.default_rng(3).random(200) * 1e-2
+        engine.bound = np.concatenate(([-np.inf, np.inf], finite))
+        limits = engine._limits(SimpleNamespace(roots=np.arange(len(engine.bound))), err)
+        assert limits.dtype == np.float32
+        assert limits[0] < -1.0 and not any((w <= limits[0]).any() for w in blocks)
+        assert all((w <= limits[1]).all() for w in blocks)
+        assert not np.float32(np.inf) <= limits[1]
+        floor = np.ldexp(finite, -2 * engine.exp) + err
+        assert (limits[2:].astype(np.float64) >= floor).all()
+
+    def test_both_base_cases_read_the_limit_rule(self, rng, monkeypatch):
+        calls = []
+        limits = _DualTreeEngine._limits
+
+        def spy(self, s, err):
+            calls.append(s)
+            return limits(self, s, err)
+
+        monkeypatch.setattr(_DualTreeEngine, "_limits", spy)
+        sites = rng.random((20, 3))
+        ds = Dataset(sites[rng.permutation(np.arange(600) % 20)])
+        index = KdTree(ds, 20)
+        per_round = []
+        for _ in boruvka_rounds(index, ds.n):
+            per_round.append((len(calls), index._emst_engine.fallback_components))
+            calls.clear()
+        # round 1 is the list pass alone; later rounds read limits only in the fallback
+        assert per_round[0][0] > 0 and per_round[0][1] == 0
+        assert any(n > 0 for n, fallback in per_round[1:] if fallback)
 
     @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
     def test_duplicate_sites_send_components_to_the_tree(self, rng, backend_cls):
