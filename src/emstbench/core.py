@@ -1,12 +1,14 @@
 """Point/dataset model, the Euclidean metric, synthetic data, and CSV ingestion.
 
 Every distance used anywhere in the package flows through the kernels in this
-module (`sq_dists`, `cross_sq_dists`, `sqdist`).  They all reduce squared
-coordinate differences with the same ``np.einsum`` contraction, which makes the
-resulting floats bitwise identical no matter whether a distance was computed
-one pair at a time, as a batch against a query, or as a block of a cross
-matrix.  That consistency is what lets independently-implemented MST and k-NN
-routines agree exactly instead of merely within tolerance.
+module (`sq_dists`, `cross_sq_dists`, `sqdist`), or repeats `sq_dists` step
+for step, as the k-NN list merge of `emst` does in buffers of its own.  They
+all reduce squared coordinate differences with the same ``np.einsum``
+contraction, which makes the resulting floats bitwise identical no matter
+whether a distance was computed one pair at a time, as a batch against a
+query, or as a block of a cross matrix.  That consistency is what lets
+independently-implemented MST and k-NN routines agree exactly instead of
+merely within tolerance.
 
 Ties between equal distances are broken by the normalized id pair, giving a
 total order on point pairs: weight, then min id, then max id.
@@ -33,8 +35,6 @@ __all__ = [
     "cross_sq_dists",
     "sqdist",
     "check_sq_range",
-    "make_edge",
-    "pair_less",
     "fmt17",
 ]
 
@@ -95,11 +95,6 @@ def check_sq_range(coords: np.ndarray) -> None:
             f"coordinates too far apart: squared pair distances can reach {bound:.3g}, "
             "which overflows float64; rescale the dataset"
         )
-
-
-def pair_less(w1: float, u1: int, v1: int, w2: float, u2: int, v2: int) -> bool:
-    """Total order on weighted id pairs: weight, then min id, then max id."""
-    return (w1, u1, v1) < (w2, u2, v2)
 
 
 def fmt17(x: float) -> str:
@@ -203,14 +198,6 @@ class Edge:
     @property
     def key(self) -> tuple[float, int, int]:
         return (self.weight, self.u, self.v)
-
-
-def make_edge(coords: np.ndarray, i: int, j: int) -> Edge:
-    """Edge between ids i and j with the canonical weight and orientation."""
-    if i == j:
-        raise ValueError(f"self-edge at id {i}")
-    u, v = (i, j) if i < j else (j, i)
-    return Edge(u, v, math.sqrt(sqdist(coords[u], coords[v])))
 
 
 @dataclass

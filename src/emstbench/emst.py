@@ -46,6 +46,13 @@ member whose list lies wholly inside the component has a 16th weight strictly
 greater than that bound; a tie leaves it unsettled.  Only unsettled
 components go through the tree traversal, starting from their list bound.
 
+Each list is one row of complex numbers, weight + 1j * id, padded with
+inf - 1j: one sort of a row with its candidates orders it by (weight, id), so
+a merge copies whole rows in and out.  A list-pass base case over two
+distinct base nodes finds the entries either side may take in one pass over
+its block, then splits, trims and orders them by side from those hits alone;
+a self block has one side.
+
 The traversal prunes a node pair when both sides sit inside one component,
 or when the region-to-region lower bound exceeds both sides' node bounds.
 Settled components carry a bound of -inf, so a pair that holds no unsettled
@@ -129,6 +136,8 @@ _K = 16  # nearest neighbours cached per point across Boruvka rounds
 _THRESH_CAP = 8.0
 _MIN_EXP = -460
 _CENTRING_ERR = 2.0 ** -50
+_PAD = complex(np.inf, -1)  # k-NN list pad: weight inf, id -1
+_GATHER_ELEMS = 1 << 14  # coordinates per re-derivation gather buffer
 
 
 class DisjointSet:
@@ -264,13 +273,12 @@ class _DualTreeEngine:
         live_coords = self.coords[self.live]
         check_sq_range(live_coords)
         self._fill_fast(bases, live_coords)
-        # row r holds live point live[r]: canonical squared weights and ids of
-        # its `_K` nearest other points, ascending by (weight, id); inf / -1
-        # pad short lists
-        self.knn_w = None
-        self.knn_id = None
-        # block-kernel buffer pair, for the traversal under way
-        self._bufs = None
+        # row r holds live point live[r]: its `_K` nearest other points as
+        # canonical squared weight + 1j * id, ascending by (weight, id);
+        # `_PAD` pads short lists
+        self.knn = None
+        # named scratch buffers of the traversal under way (`_buf`)
+        self._bufs = {}
         # canonical weights the k-NN list pass computed
         self.knn_rederived = 0
         # components the last round sent to the tree traversal
@@ -315,8 +323,18 @@ class _DualTreeEngine:
             state.fast = fast.astype(np.float32)
             state.sqn = sqn.astype(np.float32)
 
+    @property
+    def knn_w(self) -> np.ndarray:
+        """Canonical squared weights of the lists, inf in pads (a view)."""
+        return self.knn.real
+
+    @property
+    def knn_id(self) -> np.ndarray:
+        """Ids of the lists, -1 in pads."""
+        return self.knn.imag.astype(np.intp)
+
     def run_round(self, roots_all: np.ndarray, cand_sq, cand_u, cand_v) -> None:
-        if self.knn_w is None:
+        if self.knn is None:
             self._all_knn()
         self.cand_sq = cand_sq
         self.cand_u = cand_u
@@ -328,7 +346,9 @@ class _DualTreeEngine:
         # Settled components keep their list answer: a bound of -inf makes
         # their rows never accept a block entry and prunes every node pair
         # that holds no unsettled component.
-        settled = np.setdiff1d(roots_all[self.live], unsettled)
+        settled = np.zeros(len(cand_sq), dtype=bool)
+        settled[roots_all[self.live]] = True
+        settled[unsettled] = False
         kept = cand_sq[settled]
         cand_sq[settled] = -np.inf
         self.bound = cand_sq
@@ -339,13 +359,12 @@ class _DualTreeEngine:
     def _all_knn(self) -> None:
         """One dual-tree pass filling every live point's `_K`-NN list."""
         rows = len(self.live)
-        self.knn_w = np.full((rows, _K), np.inf)
-        self.knn_id = np.full((rows, _K), -1, dtype=np.intp)
+        self.knn = np.full((rows, _K), _PAD)
         row_of = np.zeros(self.max_id + 1, dtype=np.intp)
         row_of[self.live] = np.arange(rows)
         # each point is its own component, named by its list row and bounded
         # by its current K-th weight; base nodes' `roots` are then list rows
-        self.bound = self.knn_w[:, -1]
+        self.bound = self.knn.real[:, -1]
         self._mark(row_of)
         self._visit(self.root, self.root, 0.0, self._knn_base_case)
 
@@ -448,22 +467,30 @@ class _DualTreeEngine:
             )
             for d, i in scored:
                 stack.append((d, *pairs[i]))
-        self._bufs = None
+        self._bufs = {}
+
+    def _buf(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        """Scratch buffer `name` of the traversal under way, grown as needed.
+
+        Every base case overwrites what the last one left, and the buffers
+        are dropped when the traversal ends.  Fresh arrays per base case were
+        measured to page-fault on every call once they near 1 MiB, as the
+        allocator hands such arrays back to the system when freed.
+        """
+        size = math.prod(shape)
+        buf = self._bufs.get(name)
+        if buf is None or len(buf) < size:
+            buf = self._bufs[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
     def _block(self, qs: _NodeState, rs: _NodeState):
         """Scaled squared-distance block |q|^2 + |r|^2 - 2 q.r and its error bound.
 
-        The block lives in a buffer that the next block overwrites.  The
-        buffers live for one traversal.  A fresh block per base case was
-        measured to page-fault on every call once blocks near 1 MiB, as the
-        allocator hands such blocks back to the system when freed.
+        The block lives in a buffer that the next block overwrites (`_buf`).
         """
         qn, rn = qs.sqn, rs.sqn
-        size = len(qn) * len(rn)
-        bufs = self._bufs
-        if bufs is None or len(bufs[0]) < size:
-            bufs = self._bufs = (np.empty(size, np.float32), np.empty(size, np.float32))
-        w, prod = (b[:size].reshape(len(qn), len(rn)) for b in bufs)
+        shape = (len(qn), len(rn))
+        w, prod = self._buf("block", shape, np.float32), self._buf("prod", shape, np.float32)
         np.add(qn[:, None], rn[None, :], out=w)
         np.matmul(qs.fast, rs.fast.T, out=prod)
         prod *= 2.0
@@ -474,11 +501,14 @@ class _DualTreeEngine:
         w, err = self._block(qs, rs)
         if qs is rs:
             np.fill_diagonal(w, np.inf)
-        own, other = self._knn_candidates(w, self._limits(qs, err), err)
-        p, q = qs.roots[own], rs.ids[other]
-        if qs is not rs:
-            own, other = self._knn_candidates(w.T, self._limits(rs, err), err)
-            p, q = np.concatenate((p, rs.roots[own])), np.concatenate((q, qs.ids[other]))
+            own, other = self._knn_candidates(w, self._limits(qs, err), err)
+            p, q = qs.roots[own], qs.ids[other]
+        else:
+            (i, j), (jr, ir) = self._knn_cross_candidates(
+                w, self._limits(qs, err), self._limits(rs, err), err
+            )
+            p = np.concatenate((qs.roots[i], rs.roots[jr]))
+            q = np.concatenate((rs.ids[j], qs.ids[ir]))
         if len(p):
             self._knn_merge(p, q)
 
@@ -508,37 +538,71 @@ class _DualTreeEngine:
             hit[crowded] &= sub <= limit[:, None]
         return np.divmod(np.flatnonzero(hit), w.shape[1])
 
+    @staticmethod
+    def _knn_cross_candidates(w, lq, lr, err: float):
+        """`_knn_candidates` of a cross block for both sides, in one pass over it.
+
+        Returns (row, column) pairs for the row owners, with limits `lq`, and
+        (column, row) pairs for the column owners, with limits `lr`, each in
+        the order `_knn_candidates(w, lq, err)` and `_knn_candidates(w.T, lr,
+        err)` give.  One pass finds the entries either side may take; the
+        rest works on those hits alone, apart from the K-th smallest value of
+        a crowded owner.
+        """
+        hits = np.flatnonzero((w <= lq[:, None]) | (w <= lr[None, :]))
+        vals = w.ravel()[hits]
+        i, j = np.divmod(hits, w.shape[1])
+        mine, theirs = vals <= lq[i], vals <= lr[j]
+        _trim_crowded(w, i, mine, vals, err)
+        _trim_crowded(w.T, j, theirs, vals, err)
+        ir, jr = i[theirs], j[theirs]
+        # a stable sort of 16-bit keys is a radix sort
+        order = np.argsort(jr.astype(np.uint16) if w.shape[1] <= 1 << 16 else jr, kind="stable")
+        return (i[mine], j[mine]), (jr[order], ir[order])
+
     def _knn_merge(self, p: np.ndarray, q: np.ndarray) -> None:
         """Merge candidates (list row p, point id q) into the lists with one sort.
 
-        Each touched list becomes one padded row: its K entries, then its
-        candidates, as complex numbers weight + 1j * id.  NumPy orders complex
-        values by real part, then imaginary part, so one sort along the rows
-        orders every row by (weight, id); ids stay below 2**53, exact in the
-        imaginary part.  The K first entries of a row are its merged list.
+        Each touched list is copied into one padded row: its K entries, then
+        its candidates, as complex numbers weight + 1j * id.  NumPy orders
+        complex values by real part, then imaginary part, so one sort along
+        the rows orders every row by (weight, id); ids stay below 2**53,
+        exact in the imaginary part.  The K first entries of a row are its
+        merged list.  The canonical weights are re-derived as `sq_dists`
+        does, into buffers of the traversal.
 
         Each row's candidates must lie contiguously in `p`, as
         `_knn_base_case` hands them over: one ascending run of rows for a
         self block, else two ascending runs over the disjoint rows of its two
         base nodes.
         """
-        wq = sq_dists(self.coords[self.live[p]], self.coords[q])
-        self.knn_rederived += len(wq)
-        heads = np.ones(len(p), dtype=bool)
+        m = len(p)
+        cand = self._buf("cand", (m,), complex)
+        cand.imag = q
+        # chunks: whole-merge gathers of a self block at d=15 were measured
+        # to raise peak RSS by about 0.9 MB
+        step = max(1, _GATHER_ELEMS // self.d)
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            a = self._buf("gather_p", (hi - lo, self.d), np.float64)
+            b = self._buf("gather_q", (hi - lo, self.d), np.float64)
+            np.take(self.coords, self.live[p[lo:hi]], axis=0, out=a, mode="clip")
+            np.take(self.coords, q[lo:hi], axis=0, out=b, mode="clip")
+            a -= b
+            np.einsum("ij,ij->i", a, a, out=cand.real[lo:hi])
+        self.knn_rederived += m
+        heads = np.ones(m, dtype=bool)
         heads[1:] = p[1:] != p[:-1]
         group = np.cumsum(heads) - 1
         first = np.flatnonzero(heads)
         prow = p[first]
-        col = _K + np.arange(len(p)) - first[group]
-        rows = np.full((len(prow), int(col.max()) + 1), complex(np.inf, np.inf))
-        rows[:, :_K].real = self.knn_w[prow]
-        rows[:, :_K].imag = self.knn_id[prow]
-        rows[group, col] = wq + 1j * q
-        rows = np.sort(rows, axis=1)[:, :_K]
-        ids = rows.imag.astype(np.intp)
-        ids[rows.real == np.inf] = -1
-        self.knn_w[prow] = rows.real
-        self.knn_id[prow] = ids
+        col = _K + np.arange(m) - first[group]
+        rows = self._buf("rows", (len(prow), int(col.max()) + 1), complex)
+        rows[:, :_K] = self.knn[prow]
+        rows[:, _K:] = _PAD
+        rows[group, col] = cand
+        rows.sort(axis=1)
+        self.knn[prow] = rows[:, :_K]
 
     def _base_case(self, qs: _NodeState, rs: _NodeState) -> None:
         w, err = self._block(qs, rs)
@@ -570,6 +634,20 @@ class _DualTreeEngine:
         self.cand_sq[c] = nw[better]
         self.cand_u[c] = nu[better]
         self.cand_v[c] = nv[better]
+
+
+def _trim_crowded(wo, owner: np.ndarray, keep: np.ndarray, vals: np.ndarray, err: float) -> None:
+    """Clear `keep` at hits beyond their owner's K-th smallest value + 2 err.
+
+    Owners are the rows of `wo`; hit h, of value vals[h], belongs to owner[h]
+    and counts where keep[h] is set.  Only owners with more than K such hits
+    are trimmed, as in `_DualTreeEngine._knn_candidates`.
+    """
+    crowded = np.flatnonzero(np.bincount(owner[keep], minlength=len(wo)) > _K)
+    if len(crowded):
+        cap = np.full(len(wo), np.inf, dtype=np.float32)
+        cap[crowded] = np.partition(wo[crowded], _K - 1, axis=1)[:, _K - 1] + 2.0 * err
+        keep &= vals <= cap[owner]
 
 
 def _least_per_group(group: np.ndarray, w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from emstbench import (
     load_dataset,
     write_dataset,
 )
-from emstbench.core import fmt17, make_edge, sq_dists, sqdist
+from emstbench.core import fmt17, sq_dists, sqdist
 
 
 class TestEuclideanDistance:
@@ -188,18 +188,9 @@ class TestCsvIO:
 
 
 class TestEdges:
-    def test_make_edge_normalizes_orientation(self):
-        coords = np.array([[0.0, 0.0], [3.0, 4.0]])
-        e = make_edge(coords, 1, 0)
-        assert (e.u, e.v, e.weight) == (0, 1, 5.0)
-
     def test_edge_rejects_bad_orientation(self):
         with pytest.raises(ValueError):
             Edge(2, 1, 1.0)
-
-    def test_make_edge_rejects_self_edge(self):
-        with pytest.raises(ValueError):
-            make_edge(np.zeros((3, 2)), 1, 1)
 
     def test_edgelist_total_weight(self):
         el = EdgeList.from_edges([Edge(0, 1, 1.25), Edge(1, 2, 2.5)])
@@ -214,12 +205,3 @@ class TestEdges:
 def test_fmt17_round_trips_exactly(rng):
     for x in rng.standard_normal(100).tolist():
         assert float(fmt17(x)) == x
-
-
-def test_pair_total_order():
-    from emstbench.core import pair_less
-
-    assert pair_less(1.0, 0, 1, 2.0, 0, 1)  # weight decides first
-    assert pair_less(1.0, 0, 2, 1.0, 1, 2)  # then the smaller id
-    assert pair_less(1.0, 0, 1, 1.0, 0, 2)  # then the larger id
-    assert not pair_less(1.0, 0, 1, 1.0, 0, 1)  # irreflexive

@@ -1,6 +1,10 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emstbench.emst as emst_module
 from emstbench import (
     BACKENDS,
     BallTree,
@@ -646,6 +651,109 @@ def test_least_per_group_equals_lexsort_heads(entries):
     heads = np.ones(len(order), dtype=bool)
     heads[1:] = group[order][1:] != group[order][:-1]
     np.testing.assert_array_equal(_least_per_group(group, w, u, v), order[heads])
+
+
+def two_pass_candidates(w, lq, lr, err):
+    """Cross-block selection as one `_knn_candidates` pass per side: the oracle."""
+
+    def side(wo, limits):
+        hit = wo <= limits[:, None]
+        crowded = np.flatnonzero(np.count_nonzero(hit, axis=1) > _K)
+        if len(crowded):
+            sub = wo[crowded]
+            limit = np.partition(sub, _K - 1, axis=1)[:, _K - 1] + 2.0 * err
+            hit[crowded] &= sub <= limit[:, None]
+        return np.divmod(np.flatnonzero(hit), wo.shape[1])
+
+    return side(w, lq), side(w.T, lr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3 * _K),
+    st.integers(1, 3 * _K),
+    st.sampled_from([0.0, 0.2, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_cross_block_selection_equals_two_passes(rows, cols, err, seed):
+    """Repeated values, inf entries, -inf and capped limits, crowded rows and columns."""
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, 0.5, 1.0, 1.25, 2.0, 3.0, np.inf], dtype=np.float32)
+    w = values[rng.integers(0, len(values), (rows, cols))]
+    levels = np.array([-np.inf, 0.5, 1.0, 2.0, 8.0], dtype=np.float32)
+    lq = levels[rng.integers(0, len(levels), rows)]
+    lr = levels[rng.integers(0, len(levels), cols)]
+    got = _DualTreeEngine._knn_cross_candidates(w, lq, lr, err)
+    want = two_pass_candidates(w, lq, lr, err)
+    for got_side, want_side in zip(got, want):
+        for g, x in zip(got_side, want_side):
+            np.testing.assert_array_equal(g, x)
+
+
+@pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+def test_traversal_buffers_die_with_their_traversal(backend_cls, monkeypatch):
+    """Block pair, re-derivation gathers and merge rows are freed when a traversal ends."""
+    made = []
+    buf = _DualTreeEngine._buf
+
+    def spy(self, name, shape, dtype):
+        out = buf(self, name, shape, dtype)
+        made.append((name, weakref.ref(self._bufs[name])))
+        return out
+
+    monkeypatch.setattr(_DualTreeEngine, "_buf", spy)
+    rng = np.random.default_rng(3)
+    ds = Dataset(rng.random((20, 3))[rng.permutation(np.arange(600) % 20)])
+    index = backend_cls(ds, 20)
+    names = []
+    for _ in boruvka_rounds(index, ds.n):
+        engine = index._emst_engine
+        if made or engine.fallback_components:
+            names.append({name for name, _ in made})
+        assert engine._bufs == {}
+        assert all(ref() is None for _, ref in made)
+        made.clear()
+    assert names[0] == {"block", "prod", "gather_p", "gather_q", "cand", "rows"}  # list pass
+    assert {"block", "prod"} in names[1:]  # a round that fell back to the tree
+
+
+@pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+def test_lists_are_exact_when_gathers_take_many_chunks(backend_cls, monkeypatch):
+    """Re-derivation gathers of a few rows each: every merge spans many chunks."""
+    monkeypatch.setattr(emst_module, "_GATHER_ELEMS", 7)
+    index = backend_cls(generate_synthetic(700, 3, "uniform", 9), 20)
+    find_component_neighbors(index, DisjointSet(700))
+    engine = index._emst_engine
+    _, w, ids = brute_lists(index)
+    np.testing.assert_array_equal(engine.knn_w, w)
+    np.testing.assert_array_equal(engine.knn_id, ids)
+
+
+def test_fallback_rounds_never_import_numpy_ma():
+    """Settled components are found without `np.setdiff1d`, whose `np.unique` imports it."""
+    code = """if True:
+        import sys
+        import numpy as np
+        from emstbench import Dataset, DisjointSet, KdTree, find_component_neighbors
+
+        rng = np.random.default_rng(11)
+        ds = Dataset(rng.random((150, 3))[rng.integers(0, 150, 3000)])
+        index = KdTree(ds, 20)
+        dsu, fallback = DisjointSet(ds.n), 0
+        while dsu.component_count > 1:
+            candidates = find_component_neighbors(index, dsu)
+            fallback += index._emst_engine.fallback_components
+            for comp in sorted(candidates):
+                dsu.union(candidates[comp].u, candidates[comp].v)
+        print(fallback, "numpy.ma" in sys.modules)
+    """
+    src = str(Path(emst_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = [sys.executable, "-c", code]
+    out = subprocess.run(run, env=env, capture_output=True, text=True, check=True, timeout=300)
+    fallback, imported = out.stdout.split()
+    assert int(fallback) > 0
+    assert imported == "False"
 
 
 def dsu_route(index, n):
