@@ -73,7 +73,7 @@ only admits more entries, the cap keeps the masked (infinite) entries out,
 and a settled component's -inf bound admits none.
 
 Small-enough subtrees become base cases: their cross-distance block is
-computed with a float32 norms + matrix-product kernel, which is fast but not
+computed as one float32 matrix product, which is fast but not
 bitwise-canonical, so candidates are re-derived with the canonical kernel
 among everything within a rigorous floating-point error window.  Weights
 stored and compared are therefore always canonical.
@@ -92,17 +92,37 @@ block units by `np.ldexp(w, -2e)`, limits capped at 8 pass every block value
 but never the infinite masked diagonal, and data times 2**k (e + k) gives
 the same candidates.
 
-A block of q against r has the window err32 * S + floor, S = max|q|^2 +
-max|r|^2 in block units: err32 bounds float32 rounding relative to S, plus
-centring.  Relative bounds fail on float32 subnormals (below 2**-126), such
-as the products within a cluster far tighter than the data's spread; there
-a rounding errs by up to 2**-150 absolute.  Such terms come from the 2d
-coordinates rounded to float32 (each moves a product q_i r_i by at most
-2**-150, as |q_i|, |r_i| < 1) and the d products of q.r, all doubled by the
-factor 2, and from the two squared norms: (3d + 1) * 2**-149 in all, as sums
-with a subnormal result are exact.  The floor (4d + 8) * 2**-149 also covers
+Each base node keeps its points twice in float32: x^ = fl32(x') and
+n^ = fl32(|x'|^2), the norm summed in float64, as a reference copy
+[x^, n^, 1] and a query copy [-2 x^, 1, n^].  One matrix product of a query
+copy with a reference copy gives the block n^_q + n^_r - 2 x^_q.x^_r as a
+sum of d + 2 terms.  Doubling is exact in float32, subnormals included, so
+the product's inputs are exactly x^ and n^; only the summation order is the
+BLAS's.
+
+A block of q against r has the window err32 * S + floor, S = max|q'|^2 +
+max|r'|^2 in block units (float64), u = 2**-24.  Rounding the inputs moves
+the sum by at most (u + d 2**-53) S through the norms and 2 (2u + u^2) |q'||r'|
+<= (2u + u^2) S through the cross term.  The sum itself errs, in any order
+and with or without fused multiply-adds, by at most gamma_(d+2) times the
+sum of its terms' magnitudes, gamma_k = k u / (1 - k u) (Higham, "Accuracy
+and Stability of Numerical Algorithms", 2nd ed., ch. 3), and those add to at
+most 2 (1 + u)^2 S.  That is (2d + 7) u S to first order; err32 = 8 max(d, 2)
+u, at least (2d + 9) u for every d >= 1, covers it with the higher-order
+terms, plus centring.
+
+Relative bounds fail on float32 subnormals (below 2**-126), such as the
+products within a cluster far tighter than the data's spread; there a
+rounding errs by up to 2**-150 absolute.  Each of the 2d coordinates rounded
+to float32 moves its products by at most 2**-150 (|x'_i| < 1), doubled by
+the -2; each of the d cross products rounds at most once, fused or not, with
+the -2 inside it; the two norms round once each to float32, and their
+products with 1.0 are exact; sums with a subnormal result are exact.  That
+is (5d + 2) * 2**-150 in all.  The floor (4d + 8) * 2**-149 also covers
 rounding the window itself to float32 and a canonical weight's float64
 underflow, at most d * 2**-1075, which e >= -460 keeps below d * 2**-155.
+The floor assumes that float32 BLAS keeps subnormal products rather than
+flushing them to zero.
 """
 
 from __future__ import annotations
@@ -210,8 +230,8 @@ class _NodeState:
         "parent",
         "n_live",
         "ids",
-        "fast",
-        "sqn",
+        "query",
+        "ref",
         "max_sqn",
         "region",
         "roots",
@@ -228,10 +248,13 @@ class _NodeState:
         self.parent = parent
         self.n_live = node.n_live
         self.ids = None
-        # float32 block-kernel copies of the points, centred and scaled by
-        # the engine's 2**-e, with their squared norms (max_sqn in float64)
-        self.fast = None
-        self.sqn = None
+        # float32 block-kernel copies of the points x, centred and scaled by
+        # the engine's 2**-e, with their squared norms |x|^2 (module
+        # docstring): [-2x, 1, |x|^2] as the query side of a block, [x, |x|^2,
+        # 1] as its reference side, each a row slice of one engine-wide
+        # array; the largest |x|^2 in float64
+        self.query = None
+        self.ref = None
         self.max_sqn = 0.0
         # the node's plain-Python region snapshot, read by the pair bound
         self.region = node.region
@@ -259,7 +282,7 @@ class _DualTreeEngine:
         self.region_min_sq = tree._region_min_sq
         base_cap = max(_base_capacity(tree.d), tree.leaf_capacity)
         # block-kernel error bound per unit of scale, and its subnormal floor
-        self.err32 = 8.0 * tree.d * 2.0 ** -24 + _CENTRING_ERR
+        self.err32 = 8.0 * max(tree.d, 2) * 2.0 ** -24 + _CENTRING_ERR
         self.err_floor = (4 * tree.d + 8) * 2.0 ** -149
         # the kernel works on centred coordinates times 2**-exp
         self.exp = 0
@@ -268,9 +291,11 @@ class _DualTreeEngine:
         self.root = self.nodes[0]
         bases = [s for s in self.nodes if s.base]
         live = [s.ids for s in bases]
-        self.live = np.sort(np.concatenate(live)) if live else np.empty(0, dtype=np.intp)
+        order = np.concatenate(live) if live else np.empty(0, dtype=np.intp)
+        self.live = np.sort(order)
         self.max_id = int(self.live[-1]) if len(self.live) else -1
-        live_coords = self.coords[self.live]
+        # base node by base node, so each node's rows are one slice
+        live_coords = self.coords[order]
         check_sq_range(live_coords)
         self._fill_fast(bases, live_coords)
         # row r holds live point live[r]: its `_K` nearest other points as
@@ -306,22 +331,33 @@ class _DualTreeEngine:
         return nodes
 
     def _fill_fast(self, bases: list, live_coords: np.ndarray) -> None:
-        """Block-kernel copies of every base node, centred and scaled by 2**-exp."""
+        """Block-kernel copies of every base node, centred and scaled by 2**-exp.
+
+        `live_coords` holds the base nodes' points in order; it is overwritten.
+        """
         if not len(live_coords):
             return
         lo, hi = live_coords.min(axis=0), live_coords.max(axis=0)
-        centre = lo + (hi - lo) / 2.0
-        reach = float(np.abs(live_coords - centre).max())
+        fast = live_coords
+        fast -= lo + (hi - lo) / 2.0
+        reach = max(float(fast.max()), -float(fast.min()))
         if reach > 0.0:
             self.exp = max(math.frexp(reach * math.sqrt(self.d))[1], _MIN_EXP)
+        np.ldexp(fast, -self.exp, out=fast)
+        sqn = np.einsum("ij,ij->i", fast, fast)
+        ref = np.empty((len(fast), self.d + 2), dtype=np.float32)
+        ref[:, :-2], ref[:, -2], ref[:, -1] = fast, sqn, 1.0
+        query = np.empty_like(ref)
+        # doubled after rounding: doubling is exact in float32
+        np.multiply(ref[:, :-2], -2.0, out=query[:, :-2])
+        query[:, -2], query[:, -1] = 1.0, ref[:, -2]
+        start = 0
         for state in bases:
-            if not len(state.ids):
-                continue  # never visited: the traversal skips empty nodes
-            fast = np.ldexp(self.coords[state.ids] - centre, -self.exp)
-            sqn = np.einsum("ij,ij->i", fast, fast)
-            state.max_sqn = float(sqn.max())
-            state.fast = fast.astype(np.float32)
-            state.sqn = sqn.astype(np.float32)
+            stop = start + len(state.ids)
+            if stop > start:  # empty nodes are never visited: the traversal skips them
+                state.ref, state.query = ref[start:stop], query[start:stop]
+                state.max_sqn = float(sqn[start:stop].max())
+            start = stop
 
     @property
     def knn_w(self) -> np.ndarray:
@@ -377,13 +413,19 @@ class _DualTreeEngine:
         wholly inside its component can still hold the component's best edge
         unless its K-th weight exceeds the component's bound strictly.
         """
-        live, nbr, w = self.live, self.knn_id, self.knn_w
+        live, ids, w = self.live, self.knn.imag, self.knn_w
         own = roots_all[live]
-        outside = (roots_all[nbr] != own[:, None]) & (nbr >= 0)
+        # ids as integers a chunk of rows at a time: whole-list copies were
+        # measured to set the EMST's peak memory at d=3
+        outside = ids >= 0
+        step = max(1, _GATHER_ELEMS // _K)
+        for lo in range(0, len(live), step):
+            nbr = ids[lo : lo + step].astype(np.intp)
+            outside[lo : lo + step] &= roots_all[nbr] != own[lo : lo + step, None]
         has = outside.any(axis=1)
         rows = np.nonzero(has)[0]
         first = outside[rows].argmax(axis=1)
-        p, q, wq = live[rows], nbr[rows, first], w[rows, first]
+        p, q, wq = live[rows], ids[rows, first].astype(np.intp), w[rows, first]
         u, v = np.minimum(p, q), np.maximum(p, q)
         comp = own[rows]
         best = _least_per_group(comp, wq, u, v)
@@ -486,15 +528,12 @@ class _DualTreeEngine:
     def _block(self, qs: _NodeState, rs: _NodeState):
         """Scaled squared-distance block |q|^2 + |r|^2 - 2 q.r and its error bound.
 
-        The block lives in a buffer that the next block overwrites (`_buf`).
+        One float32 matrix product of the query copy of `qs` with the
+        reference copy of `rs` (module docstring).  The block lives in a
+        buffer that the next block overwrites (`_buf`).
         """
-        qn, rn = qs.sqn, rs.sqn
-        shape = (len(qn), len(rn))
-        w, prod = self._buf("block", shape, np.float32), self._buf("prod", shape, np.float32)
-        np.add(qn[:, None], rn[None, :], out=w)
-        np.matmul(qs.fast, rs.fast.T, out=prod)
-        prod *= 2.0
-        w -= prod
+        w = self._buf("block", (len(qs.ids), len(rs.ids)), np.float32)
+        np.matmul(qs.query, rs.ref.T, out=w)
         return w, self.err32 * (qs.max_sqn + rs.max_sqn) + self.err_floor
 
     def _knn_base_case(self, qs: _NodeState, rs: _NodeState) -> None:

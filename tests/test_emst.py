@@ -283,9 +283,10 @@ def brute_lists(index):
     return live, w, ids
 
 
-def tie_heavy_coords(kind, n, rng):
+def tie_heavy_coords(kind, n, rng, d=None):
     """n copies of 1-4 sites, n points offset by 10-1e4 or scaled by 1e-200 to
-    1e-155, an integer lattice, or a sub-scale cluster.
+    1e-155, an integer lattice, or a sub-scale cluster.  Offset, scaled and
+    sub-scale points have dimension `d` when it is given.
 
     A lattice holds 300-576 points, more than one base node of the k-NN
     pass, so later merges meet list entries that tie with their candidates.
@@ -301,15 +302,15 @@ def tie_heavy_coords(kind, n, rng):
         cells = rng.permutation(side**d)[: int(rng.integers(300, 577))]
         return np.array(np.unravel_index(cells, (side,) * d), dtype=float).T
     if kind == "subscale":
-        d = int(rng.integers(2, 4))
+        d = d or int(rng.integers(2, 4))
         cluster = rng.uniform(-1e-21, 1e-21, (int(rng.integers(300, 601)), d))
         return np.vstack([np.ones((1, d)), -np.ones((1, d)), cluster])
     if kind == "sites":
         sites = rng.random((int(rng.integers(1, 5)), int(rng.integers(1, 4))))
         return sites[rng.integers(0, len(sites), n)]
     if kind == "underflow":
-        return 10.0 ** rng.uniform(-200.0, -155.0) * rng.random((n, int(rng.integers(1, 4))))
-    return 10.0 ** rng.uniform(1.0, 4.0) + rng.random((n, int(rng.choice([2, 3, 8, 15]))))
+        return 10.0 ** rng.uniform(-200.0, -155.0) * rng.random((n, d or int(rng.integers(1, 4))))
+    return 10.0 ** rng.uniform(1.0, 4.0) + rng.random((n, d or int(rng.choice([2, 3, 8, 15]))))
 
 
 class TestNeighborLists:
@@ -691,6 +692,43 @@ def test_cross_block_selection_equals_two_passes(rows, cols, err, seed):
 
 
 @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 15, 50])
+@pytest.mark.parametrize("kind", ["uniform", "offset", "subscale", "underflow"])
+@pytest.mark.parametrize("base_cap", [None, 48])
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_block_values_lie_within_their_window(backend_cls, d, kind, base_cap, seed):
+    """Every block value is within the block's window of the canonical weight.
+
+    Every pair of base nodes, self blocks included, at the engine's own base
+    capacity and at 48 points per base node, where whole base nodes lie in
+    the sub-scale cluster and their block values are float32 subnormals.
+    """
+    rng = np.random.default_rng(seed)
+    coords = rng.random((300, d)) if kind == "uniform" else tie_heavy_coords(kind, 300, rng, d)
+    index = backend_cls(Dataset(coords), 20)
+    with pytest.MonkeyPatch.context() as patch:
+        if base_cap is not None:
+            patch.setattr(emst_module, "_base_capacity", lambda d: base_cap)
+        engine = _DualTreeEngine(index)
+    bases = [s for s in engine.nodes if s.base and len(s.ids)]
+    for a in bases:
+        for b in bases:
+            w, err = engine._block(a, b)
+            exact = cross_sq_dists(engine.coords[a.ids], engine.coords[b.ids])
+            assert (np.abs(w - np.ldexp(exact, -2 * engine.exp)) <= err).all()
+
+
+@pytest.mark.parametrize("rows, inner", [(64, 17), (1024, 52)])
+def test_float32_matmul_keeps_subnormal_products(rows, inner):
+    """The window's subnormal floor assumes BLAS does not flush them to zero."""
+    a = np.full((rows, inner), 1e-20, dtype=np.float32)
+    tiny = np.float32(1e-40)
+    assert 0.0 < tiny < np.finfo(np.float32).smallest_normal
+    np.testing.assert_array_equal(a @ a.T, np.float32(inner) * tiny)
+
+
+@pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
 def test_traversal_buffers_die_with_their_traversal(backend_cls, monkeypatch):
     """Block pair, re-derivation gathers and merge rows are freed when a traversal ends."""
     made = []
@@ -713,20 +751,29 @@ def test_traversal_buffers_die_with_their_traversal(backend_cls, monkeypatch):
         assert engine._bufs == {}
         assert all(ref() is None for _, ref in made)
         made.clear()
-    assert names[0] == {"block", "prod", "gather_p", "gather_q", "cand", "rows"}  # list pass
-    assert {"block", "prod"} in names[1:]  # a round that fell back to the tree
+    assert names[0] == {"block", "gather_p", "gather_q", "cand", "rows"}  # list pass
+    assert {"block"} in names[1:]  # a round that fell back to the tree
 
 
 @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
 def test_lists_are_exact_when_gathers_take_many_chunks(backend_cls, monkeypatch):
-    """Re-derivation gathers of a few rows each: every merge spans many chunks."""
+    """Re-derivation gathers of a few rows each: every merge spans many chunks.
+
+    A round then reads the list ids one row at a time too.
+    """
     monkeypatch.setattr(emst_module, "_GATHER_ELEMS", 7)
-    index = backend_cls(generate_synthetic(700, 3, "uniform", 9), 20)
-    find_component_neighbors(index, DisjointSet(700))
+    ds = generate_synthetic(700, 3, "uniform", 9)
+    index = backend_cls(ds, 20)
+    dsu = DisjointSet(700)
+    first = find_component_neighbors(index, dsu)
     engine = index._emst_engine
     _, w, ids = brute_lists(index)
     np.testing.assert_array_equal(engine.knn_w, w)
     np.testing.assert_array_equal(engine.knn_id, ids)
+    for e in first.values():
+        dsu.union(e.u, e.v)
+    got = find_component_neighbors(index, dsu)
+    assert got == _naive_candidates(cross_sq_dists(ds.coords, ds.coords), dsu)
 
 
 def test_fallback_rounds_never_import_numpy_ma():
