@@ -103,11 +103,11 @@ def choose_split(point_ids, data) -> SplitChoice:
 
 
 def ball_min_distance(node, q) -> float:
-    """Lower bound on the distance from q to any point inside the ball."""
+    """Lower bound on the distance from q to any point inside the ball, by `_ball_min_sq`."""
     c = coords_of(q)
     if c.shape[0] != node.center.shape[0]:
         raise ValueError(f"dimension mismatch: ball is {node.center.shape[0]}-D, query is {c.shape[0]}-D")
-    return max(0.0, math.sqrt(sqdist(c, node.center)) - node.radius)
+    return math.sqrt(_ball_min_sq(node.region, (c.tolist(), 0.0)))
 
 
 def _ball_min_sq(a, b) -> float:

@@ -133,6 +133,7 @@ import numpy as np
 
 from .balltree import BallTree
 from .core import Dataset, Edge, EdgeList, check_sq_range, cross_sq_dists, fmt17, sq_dists
+from .index import _PRUNE_EPS
 from .kdtree import KdTree
 
 __all__ = [
@@ -149,7 +150,7 @@ __all__ = [
 
 BACKENDS = {"kd": KdTree, "ball": BallTree}
 
-_PRUNE_FACTOR = 1.0 - 1e-12  # never prune an exact boundary tie
+_PRUNE_FACTOR = 1.0 - _PRUNE_EPS  # never prune an exact boundary tie
 _K = 16  # nearest neighbours cached per point across Boruvka rounds
 # block kernel (module docstring): finite limit above every block value,
 # least scaling exponent, and centring round-off per unit of scale
@@ -369,28 +370,34 @@ class _DualTreeEngine:
         """Ids of the lists, -1 in pads."""
         return self.knn.imag.astype(np.intp)
 
-    def run_round(self, roots_all: np.ndarray, cand_sq, cand_u, cand_v) -> None:
+    def run_round(self, labels: np.ndarray):
+        """Each component's best outgoing pair as (squared weight, u, v) arrays.
+
+        `labels` names every point's component by an id in 0..n-1; entry c of the
+        arrays holds component c's pair, and u = -1 where c names no component.
+        """
         if self.knn is None:
             self._all_knn()
-        self.cand_sq = cand_sq
-        self.cand_u = cand_u
-        self.cand_v = cand_v
-        unsettled = self._answer_from_lists(roots_all)
+        n = len(labels)
+        self.cand_sq = cand_sq = np.full(n, np.inf)
+        self.cand_u = np.full(n, -1, dtype=np.int64)
+        self.cand_v = np.full(n, -1, dtype=np.int64)
+        unsettled = self._answer_from_lists(labels)
         self.fallback_components = len(unsettled)
-        if not len(unsettled):
-            return
-        # Settled components keep their list answer: a bound of -inf makes
-        # their rows never accept a block entry and prunes every node pair
-        # that holds no unsettled component.
-        settled = np.zeros(len(cand_sq), dtype=bool)
-        settled[roots_all[self.live]] = True
-        settled[unsettled] = False
-        kept = cand_sq[settled]
-        cand_sq[settled] = -np.inf
-        self.bound = cand_sq
-        self._mark(roots_all)
-        self._visit(self.root, self.root, 0.0, self._base_case)
-        cand_sq[settled] = kept
+        if len(unsettled):
+            # Settled components keep their list answer: a bound of -inf makes
+            # their rows never accept a block entry and prunes every node pair
+            # that holds no unsettled component.
+            settled = np.zeros(n, dtype=bool)
+            settled[labels[self.live]] = True
+            settled[unsettled] = False
+            kept = cand_sq[settled]
+            cand_sq[settled] = -np.inf
+            self.bound = cand_sq
+            self._mark(labels)
+            self._visit(self.root, self.root, 0.0, self._base_case)
+            cand_sq[settled] = kept
+        return cand_sq, self.cand_u, self.cand_v
 
     def _all_knn(self) -> None:
         """One dual-tree pass filling every live point's `_K`-NN list."""
@@ -425,14 +432,7 @@ class _DualTreeEngine:
         has = outside.any(axis=1)
         rows = np.nonzero(has)[0]
         first = outside[rows].argmax(axis=1)
-        p, q, wq = live[rows], ids[rows, first].astype(np.intp), w[rows, first]
-        u, v = np.minimum(p, q), np.maximum(p, q)
-        comp = own[rows]
-        best = _least_per_group(comp, wq, u, v)
-        c = comp[best]
-        self.cand_sq[c] = wq[best]
-        self.cand_u[c] = u[best]
-        self.cand_v[c] = v[best]
+        self._offer(own[rows], live[rows], ids[rows, first].astype(np.intp), w[rows, first])
         blocked = ~has & (w[:, -1] <= self.cand_sq[own])
         # distinct, ascending: `np.unique` imports `numpy.ma` (1.6 MB) on first use
         return np.flatnonzero(np.bincount(own[blocked]))
@@ -662,11 +662,17 @@ class _DualTreeEngine:
         ri, cols = np.nonzero(near)
         qi = rows[ri]
         qid, rid = qs.ids[qi], rs.ids[cols]
-        wc = sq_dists(self.coords[qid], self.coords[rid])
-        u, v = np.minimum(qid, rid), np.maximum(qid, rid)
-        comp = qs.roots[qi]
-        best = _least_per_group(comp, wc, u, v)
-        c, nw, nu, nv = comp[best], wc[best], u[best], v[best]
+        self._offer(qs.roots[qi], qid, rid, sq_dists(self.coords[qid], self.coords[rid]))
+
+    def _offer(self, comp: np.ndarray, p: np.ndarray, q: np.ndarray, w: np.ndarray) -> None:
+        """Offer pairs (p, q) of canonical squared weight w to components `comp`.
+
+        The candidate rule: each component's least offered pair under (w, min
+        id, max id) replaces its current candidate only if it is less.
+        """
+        u, v = np.minimum(p, q), np.maximum(p, q)
+        best = _least_per_group(comp, w, u, v)
+        c, nw, nu, nv = comp[best], w[best], u[best], v[best]
         cw, cu = self.cand_sq[c], self.cand_u[c]
         better = (nw < cw) | ((nw == cw) & ((nu < cu) | ((nu == cu) & (nv < self.cand_v[c]))))
         c = c[better]
@@ -725,20 +731,6 @@ def _engine_for(index) -> _DualTreeEngine:
     return engine
 
 
-def _engine_round(engine: _DualTreeEngine, labels: np.ndarray):
-    """Each component's best outgoing pair as (squared weight, u, v) arrays.
-
-    `labels` names every point's component by an id in 0..n-1; entry c of the
-    arrays holds component c's pair, and u = -1 where c names no component.
-    """
-    n = len(labels)
-    cand_sq = np.full(n, np.inf)
-    cand_u = np.full(n, -1, dtype=np.int64)
-    cand_v = np.full(n, -1, dtype=np.int64)
-    engine.run_round(labels, cand_sq, cand_u, cand_v)
-    return cand_sq, cand_u, cand_v
-
-
 def find_component_neighbors(index, dsu: DisjointSet) -> dict[int, Edge]:
     """One Boruvka round: each component's nearest edge into any other component.
 
@@ -756,7 +748,7 @@ def find_component_neighbors(index, dsu: DisjointSet) -> dict[int, Edge]:
         raise ValueError(
             f"index holds id {engine.max_id} but the disjoint set covers only 0..{n - 1}"
         )
-    cand_sq, cand_u, cand_v = _engine_round(engine, dsu.roots_array())
+    cand_sq, cand_u, cand_v = engine.run_round(dsu.roots_array())
     out: dict[int, Edge] = {}
     for root in np.nonzero(cand_u >= 0)[0].tolist():
         out[root] = Edge(int(cand_u[root]), int(cand_v[root]), math.sqrt(float(cand_sq[root])))
@@ -799,7 +791,7 @@ def _boruvka_edges(engine: _DualTreeEngine, n: int, lone: np.ndarray | None = No
     if lone is not None and not lone.any():
         rounds, lone = 1, None  # round 1 adds stars only
     while found < n - 1:
-        cand_sq, cand_u, cand_v = _engine_round(engine, labels)
+        cand_sq, cand_u, cand_v = engine.run_round(labels)
         if lone is not None:
             cand_u[~lone] = -1
             lone = None
@@ -950,8 +942,6 @@ def validate_spanning_tree(edgelist: EdgeList, n: int) -> None:
             raise ValueError(f"edge ({e.u}, {e.v}) references ids outside 0..{n - 1}")
         if not dsu.union(e.u, e.v):
             raise ValueError(f"edge ({e.u}, {e.v}) closes a cycle")
-    if dsu.component_count != 1:
-        raise ValueError("edges do not connect all points")
 
 
 def format_edges(edgelist: EdgeList) -> str:

@@ -296,19 +296,15 @@ class SpatialIndex:
                 continue
             with np.errstate(over="ignore"):  # an overflow reads inf; see the check below
                 sqs = sq_dists(self._coords[node.ids_array()], c)
-            if len(heap) < k:
-                for sq, i in zip(sqs.tolist(), ids):
-                    if len(heap) < k:
-                        heapq.heappush(heap, (-sq, -i))
-                    elif (sq, i) < (-heap[0][0], -heap[0][1]):
-                        heapq.heapreplace(heap, (-sq, -i))
-            else:
-                worst = -heap[0][0]
-                for j in np.nonzero(sqs <= worst)[0].tolist():
-                    sq = float(sqs[j])
-                    i = ids[j]
-                    if (sq, i) < (-heap[0][0], -heap[0][1]):
-                        heapq.heapreplace(heap, (-sq, -i))
+            # admission under (distance, id): every point until the heap holds
+            # k, then only points no farther than the k-th best
+            worst = -heap[0][0] if len(heap) == k else math.inf
+            for j in np.nonzero(sqs <= worst)[0].tolist():
+                sq, i = sqs.item(j), ids[j]
+                if len(heap) < k:
+                    heapq.heappush(heap, (-sq, -i))
+                elif (sq, i) < (-heap[0][0], -heap[0][1]):
+                    heapq.heapreplace(heap, (-sq, -i))
 
         if -heap[0][0] == math.inf:
             raise ValueError(

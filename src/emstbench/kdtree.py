@@ -35,14 +35,14 @@ class BoundingBox:
 def box_min_distance(box, q) -> float:
     """Euclidean distance from q to the nearest point of the closed box.
 
-    Zero when q lies inside.  `box` is anything with mins/maxs arrays
-    (a BoundingBox or a KdNode).
+    Zero when q lies inside.  `box` is anything with mins/maxs arrays (a
+    BoundingBox or a KdNode); the bound is the index's own, `_box_min_sq`.
     """
     c = coords_of(q)
     if c.shape[0] != box.mins.shape[0]:
         raise ValueError(f"dimension mismatch: box is {box.mins.shape[0]}-D, query is {c.shape[0]}-D")
-    g = np.maximum(box.mins - c, 0.0) + np.maximum(c - box.maxs, 0.0)
-    return math.sqrt(float(g @ g))
+    point = c.tolist()
+    return math.sqrt(_box_min_sq((box.mins.tolist(), box.maxs.tolist()), (point, point)))
 
 
 def _box_min_sq(a, b) -> float:

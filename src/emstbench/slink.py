@@ -97,9 +97,8 @@ def naive_merge_sequence(ds: Dataset) -> list[Edge]:
         cands = np.argwhere(sq == wmin)
         best = min((int(bu[i, j]), int(bv[i, j])) for i, j in cands)
         locs = cands[(bu[cands[:, 0], cands[:, 1]] == best[0]) & (bv[cands[:, 0], cands[:, 1]] == best[1])]
+        # row-major over a symmetric matrix: the first hit has i < j
         i, j = int(locs[0][0]), int(locs[0][1])
-        if j < i:
-            i, j = j, i
         merges.append(Edge(best[0], best[1], math.sqrt(float(wmin))))
         # fold cluster j into cluster i, keeping the better triple per column
         take_j = (sq[j] < sq[i]) | (

@@ -206,6 +206,25 @@ class TestFindComponentNeighbors:
             expected = {c: Edge(u, v, math.sqrt(w)) for c, (w, u, v) in expected.items()}
             assert got == expected, f"trial {trial}"
 
+    @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+    def test_tight_blobs_take_the_tree_and_match_the_scan(self, backend_cls):
+        """Tight blobs send components to the tree; every round equals the scan.
+
+        Once a blob of more than `_K` points is one component, every member's
+        list lies inside it.  8 gaussian blobs of 60 points at sigma = 1e-4
+        around uniform centres in d=3.
+        """
+        rng = np.random.default_rng(4)
+        centres = rng.random((8, 3))
+        ds = Dataset((centres[:, None, :] + 1e-4 * rng.standard_normal((8, 60, 3))).reshape(-1, 3))
+        index = backend_cls(ds, 20)
+        sq = cross_sq_dists(ds.coords, ds.coords)
+        fallback = []
+        for dsu, candidates in boruvka_rounds(index, ds.n):
+            assert candidates == _naive_candidates(sq, dsu)
+            fallback.append(index._emst_engine.fallback_components)
+        assert max(fallback) > 0
+
 
 class TestOracleAgreement:
     def test_all_four_algorithms_agree(self, rng):
@@ -815,6 +834,12 @@ def dsu_route(index, n):
     return EdgeList.from_edges(edges), rounds
 
 
+def no_candidates(self, labels):
+    """A `run_round` stand-in that finds no pair for any component."""
+    n = len(labels)
+    return np.full(n, np.inf), np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int64)
+
+
 class TestArrayDriver:
     """`dual_tree_boruvka` unions each round as arrays; the DisjointSet route checks it."""
 
@@ -845,7 +870,7 @@ class TestArrayDriver:
         assert rounds == want_rounds
 
     def test_a_round_without_edges_raises(self, rng, monkeypatch):
-        monkeypatch.setattr(_DualTreeEngine, "run_round", lambda self, *args: None)
+        monkeypatch.setattr(_DualTreeEngine, "run_round", no_candidates)
         with pytest.raises(RuntimeError, match="no progress"):
             dual_tree_boruvka(random_dataset(rng, 30, 2), "kd")
 
@@ -924,7 +949,7 @@ class TestDuplicateCollapse:
         assert sum(e.weight == 0.0 for e in el.edges) == 4980
 
     def test_a_round_without_edges_raises_with_lone_sites(self, rng, monkeypatch):
-        monkeypatch.setattr(_DualTreeEngine, "run_round", lambda self, *args: None)
+        monkeypatch.setattr(_DualTreeEngine, "run_round", no_candidates)
         coords = np.vstack([np.zeros((5, 2)), rng.random((10, 2))])
         with pytest.raises(RuntimeError, match="no progress"):
             dual_tree_boruvka(Dataset(coords), "kd")
