@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, coords_of, sq_dists, sqdist
+from .core import Dataset, coords_of, sq_dists
 from .index import IndexNode, SpatialIndex
 
 __all__ = ["SplitChoice", "BallNode", "BallTree", "choose_split", "ball_min_distance"]
@@ -155,7 +155,7 @@ class BallNode(IndexNode):
             self.center = c.copy()
             self.region = (c.tolist(), 0.0)
         else:
-            dist = math.sqrt(sqdist(c, self.center))
+            dist = math.sqrt(sq_dists(c[None, :], self.center)[0])
             if dist > self.region[1]:
                 self.region = (self.region[0], dist)
 

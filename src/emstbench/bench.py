@@ -54,6 +54,14 @@ class BenchConfig:
     backends: list[str] = field(default_factory=lambda: ["kd", "ball"])
 
     def validate(self) -> None:
+        for name, kind in (("sizes", int), ("dims", int), ("operations", str), ("backends", str)):
+            value = getattr(self, name)
+            if not isinstance(value, list) or not all(_is_a(v, kind) for v in value):
+                raise ValueError(f"{name} must be a list of {kind.__name__}s, got {value!r}")
+        for name in ("seed", "trials", "knn_queries", "knn_k", "mutation_count"):
+            value = getattr(self, name)
+            if not _is_a(value, int) and not (name == "mutation_count" and value is None):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not self.sizes or any(n < 1 for n in self.sizes):
             raise ValueError(f"sizes must be non-empty positive ints, got {self.sizes}")
         if not self.dims or any(d < 1 for d in self.dims):
@@ -75,6 +83,8 @@ class BenchConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BenchConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -87,6 +97,11 @@ class BenchConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _is_a(value, kind: type) -> bool:
+    """isinstance, except that a bool is not an int: JSON true is no count."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -226,20 +241,10 @@ def _run_cell(operation, backend, ds, insert_coords, delete_ids, query_coords, c
 
 
 def _compute_ratios(records: list[TimingRecord]) -> list[RatioRecord]:
-    by_cell: dict[tuple[str, int, int], dict[str, float]] = {}
-    order: list[tuple[str, int, int]] = []
-    for r in records:
-        key = (r.operation, r.n, r.d)
-        if key not in by_cell:
-            by_cell[key] = {}
-            order.append(key)
-        by_cell[key][r.backend] = r.elapsed_ms
-    ratios = []
-    for key in order:
-        cell = by_cell[key]
-        if "kd" in cell and "ball" in cell:
-            ratios.append(RatioRecord(key[0], key[1], key[2], cell["ball"] / cell["kd"]))
-    return ratios
+    """Ball over kd per (operation, n, d) cell where both ran, in first-seen order."""
+    kd = {(r.operation, r.n, r.d): r.elapsed_ms for r in records if r.backend == "kd"}
+    ball = {(r.operation, r.n, r.d): r.elapsed_ms for r in records if r.backend == "ball"}
+    return [RatioRecord(*cell, ms / kd[cell]) for cell, ms in ball.items() if cell in kd]
 
 
 # ---------------------------------------------------------------------------

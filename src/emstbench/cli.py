@@ -57,13 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--config", help="JSON file with BenchConfig fields")
     bench.add_argument("--sizes", type=_int_list)
     bench.add_argument("--dims", type=_int_list)
-    bench.add_argument("--dist", choices=DISTRIBUTIONS)
+    bench.add_argument("--dist", dest="distribution", choices=DISTRIBUTIONS)
     bench.add_argument("--seed", type=int)
     bench.add_argument("--trials", type=int)
     bench.add_argument("--knn-queries", type=int)
     bench.add_argument("--knn-k", type=int)
-    bench.add_argument("--mutations", type=int)
-    bench.add_argument("--ops", type=_str_list)
+    bench.add_argument("--mutations", dest="mutation_count", type=int)
+    bench.add_argument("--ops", dest="operations", type=_str_list)
     bench.add_argument("--backends", type=_str_list)
     bench.add_argument("--format", choices=("csv", "json"), default="csv")
     bench.add_argument("--out")
@@ -105,25 +105,11 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.config:
-        cfg = BenchConfig.from_json_file(args.config)
-    else:
-        cfg = BenchConfig()
-    overrides = {
-        "sizes": args.sizes,
-        "dims": args.dims,
-        "distribution": args.dist,
-        "seed": args.seed,
-        "trials": args.trials,
-        "knn_queries": args.knn_queries,
-        "knn_k": args.knn_k,
-        "mutation_count": args.mutations,
-        "operations": args.ops,
-        "backends": args.backends,
-    }
-    for name, value in overrides.items():
-        if value is not None:
-            setattr(cfg, name, value)
+    cfg = BenchConfig.from_json_file(args.config) if args.config else BenchConfig()
+    # every BenchConfig field has a flag of the same dest; None means not given
+    for name in cfg.to_dict():
+        if getattr(args, name) is not None:
+            setattr(cfg, name, getattr(args, name))
     report = run_suite(cfg)
     text = emit_report(report, args.format)
     if args.out:

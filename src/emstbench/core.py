@@ -1,12 +1,9 @@
 """Point/dataset model, the Euclidean metric, synthetic data, and CSV ingestion.
 
-Every distance used anywhere in the package flows through the kernels in this
-module (`sq_dists`, `cross_sq_dists`, `sqdist`), or repeats `sq_dists` step
-for step, as the k-NN list merge of `emst` does in buffers of its own.  They
-all reduce squared coordinate differences with the same ``np.einsum``
-contraction, which makes the resulting floats bitwise identical no matter
-whether a distance was computed one pair at a time, as a batch against a
-query, or as a block of a cross matrix.  That consistency is what lets
+Every exact squared distance in the package is a call of `sq_dists`, and a
+row's result does not depend on the batch it was computed in: one pair, a
+batch against a query, a row of `cross_sq_dists` or a chunk of pairs give the
+same bits for the same two points.  That consistency is what lets
 independently-implemented MST and k-NN routines agree exactly instead of
 merely within tolerance.
 
@@ -33,19 +30,14 @@ __all__ = [
     "write_dataset",
     "sq_dists",
     "cross_sq_dists",
-    "sqdist",
     "check_sq_range",
     "fmt17",
 ]
 
 DISTRIBUTIONS = ("uniform", "gaussian")
 
-# Element budget for one cross-distance diff temporary (~32 MB of float64);
-# chunking changes no computed bit since row reductions are batch-independent.
-_CROSS_CHUNK_ELEMS = 4_000_000
-
 # Largest accepted bound on a squared pair distance; the headroom absorbs the
-# rounding of the bound itself and of the einsum reduction.
+# rounding of the bound itself and of the `sq_dists` reduction.
 _SQ_LIMIT = float(np.finfo(np.float64).max) / 4.0
 
 
@@ -58,7 +50,10 @@ class ParseError(ValueError):
 
 
 def sq_dists(points: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances from each row of `points` to `q`."""
+    """Squared Euclidean distances from each row of `points` to `q`.
+
+    `q` is one point, or one row per row of `points` for distances of pairs.
+    """
     d = points - q
     return np.einsum("ij,ij->i", d, d)
 
@@ -66,17 +61,9 @@ def sq_dists(points: np.ndarray, q: np.ndarray) -> np.ndarray:
 def cross_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All-pairs squared distances between rows of `a` and rows of `b`."""
     out = np.empty((a.shape[0], b.shape[0]))
-    step = max(1, _CROSS_CHUNK_ELEMS // max(1, b.shape[0] * b.shape[1]))
-    for lo in range(0, a.shape[0], step):
-        hi = min(lo + step, a.shape[0])
-        d = a[lo:hi, None, :] - b[None, :, :]
-        np.einsum("ijk,ijk->ij", d, d, out=out[lo:hi])
+    for i, row in enumerate(a):
+        out[i] = sq_dists(b, row)
     return out
-
-
-def sqdist(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared distance between two coordinate vectors."""
-    return float(sq_dists(a[None, :], b)[0])
 
 
 def check_sq_range(coords: np.ndarray) -> None:
@@ -180,7 +167,7 @@ def euclidean_distance(a, b) -> float:
         raise ValueError(
             f"dimension mismatch: {ca.shape[0]} vs {cb.shape[0]}"
         )
-    return math.sqrt(sqdist(ca, cb))
+    return math.sqrt(sq_dists(ca[None, :], cb)[0])
 
 
 @dataclass(frozen=True)

@@ -75,8 +75,8 @@ and a settled component's -inf bound admits none.
 Small-enough subtrees become base cases: their cross-distance block is
 computed as one float32 matrix product, which is fast but not
 bitwise-canonical, so candidates are re-derived with the canonical kernel
-among everything within a rigorous floating-point error window.  Weights
-stored and compared are therefore always canonical.
+`core.sq_dists` among everything within a rigorous floating-point error
+window.  Weights stored and compared are therefore always canonical.
 
 The block kernel is the only one, and serves data in any unit.  It centres
 the coordinates on the midpoint m of the live bounding box, so its window
@@ -607,8 +607,8 @@ class _DualTreeEngine:
         complex values by real part, then imaginary part, so one sort along
         the rows orders every row by (weight, id); ids stay below 2**53,
         exact in the imaginary part.  The K first entries of a row are its
-        merged list.  The canonical weights are re-derived as `sq_dists`
-        does, into buffers of the traversal.
+        merged list.  The canonical weights are re-derived by `sq_dists` on
+        gathers into buffers of the traversal.
 
         Each row's candidates must lie contiguously in `p`, as
         `_knn_base_case` hands them over: one ascending run of rows for a
@@ -627,8 +627,7 @@ class _DualTreeEngine:
             b = self._buf("gather_q", (hi - lo, self.d), np.float64)
             np.take(self.coords, self.live[p[lo:hi]], axis=0, out=a, mode="clip")
             np.take(self.coords, q[lo:hi], axis=0, out=b, mode="clip")
-            a -= b
-            np.einsum("ij,ij->i", a, a, out=cand.real[lo:hi])
+            cand.real[lo:hi] = sq_dists(a, b)
         self.knn_rederived += m
         heads = np.ones(m, dtype=bool)
         heads[1:] = p[1:] != p[:-1]

@@ -280,7 +280,7 @@ class SpatialIndex:
 
         target = self._point_region(c.tolist())
         min_sq = self._region_min_sq
-        heap: list[tuple[float, int]] = []  # (-sqdist, -id): root of heap = current worst
+        heap: list[tuple[float, int]] = []  # (-squared distance, -id): root of heap = current worst
         frontier = [(0.0, 0, self.root)]  # (bound, push order, node), nearest bound first
         pushed = 0
         while frontier:

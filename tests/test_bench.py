@@ -49,11 +49,18 @@ class TestConfig:
             ("operations", ["sort"]),
             ("operations", []),
             ("backends", ["rtree"]),
+            ("trials", "3"),
+            ("sizes", 5),
+            ("sizes", [True]),
+            ("dims", (2,)),
+            ("seed", 1.5),
+            ("knn_k", True),
+            ("mutation_count", "4"),
         ],
     )
     def test_rejects_bad_values(self, field, value):
         cfg = tiny_config(**{field: value})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             cfg.validate()
 
     def test_from_dict_rejects_unknown_keys(self):

@@ -135,9 +135,32 @@ class TestBench:
     def test_flag_overrides_config(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"sizes": [30], "dims": [2], "operations": ["build"], "backends": ["kd"], "trials": 3}))
-        code, stdout, _ = run_cli(capsys, "bench", "--config", str(path), "--sizes", "25", "--format", "json")
+        code, stdout, _ = run_cli(
+            capsys,
+            "bench",
+            "--config", str(path),
+            "--sizes", "25",
+            "--dist", "gaussian",
+            "--mutations", "2",
+            "--ops", "build,delete",
+            "--format", "json",
+        )
         assert code == 0
-        assert json.loads(stdout)["records"][0]["n"] == 25
+        report = json.loads(stdout)
+        assert report["records"][0]["n"] == 25
+        config = report["config"]
+        assert (config["distribution"], config["mutation_count"]) == ("gaussian", 2)
+        assert config["operations"] == ["build", "delete"]
+
+    @pytest.mark.parametrize(
+        "text,named", [('{"trials": "3"}', "trials"), ('{"sizes": 5}', "sizes"), ("[1, 2]", "JSON object")]
+    )
+    def test_config_of_the_wrong_type_exits_one(self, tmp_path, capsys, text, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "bench", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err
 
     def test_bad_trials_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--trials", "1", "--sizes", "10", "--dims", "2")

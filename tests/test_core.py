@@ -16,7 +16,7 @@ from emstbench import (
     load_dataset,
     write_dataset,
 )
-from emstbench.core import fmt17, sq_dists, sqdist
+from emstbench.core import cross_sq_dists, fmt17, sq_dists
 
 
 class TestEuclideanDistance:
@@ -64,14 +64,18 @@ def test_distance_symmetry_exact(pairs):
 
 def test_kernels_are_batch_invariant(rng):
     """Row results of the canonical kernel must not depend on the batch."""
-    coords = rng.random((200, 7))
-    q = rng.random(7)
-    full = sq_dists(coords, q)
-    for _ in range(20):
-        idx = rng.choice(200, size=rng.integers(1, 100), replace=False)
-        assert np.array_equal(sq_dists(coords[idx], q), full[idx])
-    for i in range(20):
-        assert sqdist(coords[i], q) == full[i]
+    for scale in (1.0, 1e-160, 1e150):
+        coords = rng.random((200, 7)) * scale
+        q = rng.random(7) * scale
+        full = sq_dists(coords, q)
+        for _ in range(20):
+            idx = rng.choice(200, size=rng.integers(1, 100), replace=False)
+            assert np.array_equal(sq_dists(coords[idx], q), full[idx])
+            cross = cross_sq_dists(coords[idx], coords)
+            for row, i in zip(cross, idx):
+                assert np.array_equal(row.view(np.uint64), sq_dists(coords, coords[i]).view(np.uint64))
+        for i in range(20):
+            assert sq_dists(coords[i][None, :], q)[0] == full[i]
 
 
 class TestGenerateSynthetic:

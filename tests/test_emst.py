@@ -673,6 +673,29 @@ def test_least_per_group_equals_lexsort_heads(entries):
     np.testing.assert_array_equal(_least_per_group(group, w, u, v), order[heads])
 
 
+@pytest.mark.parametrize(
+    "offer,replaces",
+    [
+        ((2.0, 0, 1), False),
+        ((1.0, 8, 7), False),
+        ((1.0, 3, 2), True),
+        ((1.0, 5, 6), True),
+        ((0.5, 10, 11), True),
+    ],
+)
+def test_offer_replaces_only_a_lesser_candidate(offer, replaces):
+    """Component 0 holds (w=1, 5, 9); an offer wins only if less under (w, min id, max id)."""
+    engine = _DualTreeEngine(KdTree(generate_synthetic(12, 2, "uniform", 0), 4))
+    engine.cand_sq = np.full(12, np.inf)
+    engine.cand_u = np.full(12, -1, dtype=np.int64)
+    engine.cand_v = np.full(12, -1, dtype=np.int64)
+    engine.cand_sq[0], engine.cand_u[0], engine.cand_v[0] = 1.0, 5, 9
+    w, p, q = offer
+    engine._offer(np.array([0]), np.array([p]), np.array([q]), np.array([w]))
+    expected = (w, min(p, q), max(p, q)) if replaces else (1.0, 5, 9)
+    assert (engine.cand_sq[0], engine.cand_u[0], engine.cand_v[0]) == expected
+
+
 def two_pass_candidates(w, lq, lr, err):
     """Cross-block selection as one `_knn_candidates` pass per side: the oracle."""
 
