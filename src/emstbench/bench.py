@@ -15,6 +15,8 @@ import platform
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import takewhile
+from typing import get_type_hints
 
 import numpy as np
 
@@ -33,8 +35,11 @@ __all__ = [
 ]
 
 OPERATIONS = ("build", "insert", "delete", "nn_search", "emst")
-CSV_HEADER = "backend,operation,n,d,elapsed_ms,trials,seed"
-RATIO_HEADER = "operation,n,d,ball_over_kd"
+# the CSV columns of each record type, in order: they drive header, rows and parser
+_RECORD_COLUMNS = ("backend", "operation", "n", "d", "elapsed_ms", "trials", "seed")
+_RATIO_COLUMNS = ("operation", "n", "d", "ball_over_kd")
+CSV_HEADER = ",".join(_RECORD_COLUMNS)
+RATIO_HEADER = ",".join(_RATIO_COLUMNS)
 _LEAF_CAPACITY = 20  # shared by both backends so cells compare structures, not tuning
 
 
@@ -259,26 +264,25 @@ def emit_report(report: BenchmarkReport, format: str = "csv") -> str:
     with keys config, environment, records, ratios, in that order.
     """
     if format == "csv":
-        lines = [CSV_HEADER]
-        for r in report.records:
-            lines.append(
-                f"{r.backend},{r.operation},{r.n},{r.d},{r.elapsed_ms!r},{r.trials},{r.seed}"
-            )
+        lines = [CSV_HEADER] + [_csv_row(r, _RECORD_COLUMNS) for r in report.records]
         if report.records:
-            lines.append("# ratios")
-            lines.append(RATIO_HEADER)
-            for rr in report.ratios:
-                lines.append(f"{rr.operation},{rr.n},{rr.d},{rr.ball_over_kd!r}")
+            lines += ["# ratios", RATIO_HEADER] + [_csv_row(r, _RATIO_COLUMNS) for r in report.ratios]
         return "\n".join(lines) + "\n"
     if format == "json":
-        obj = {
-            "config": report.config,
-            "environment": report.environment,
-            "records": [asdict(r) for r in report.records],
-            "ratios": [asdict(rr) for rr in report.ratios],
-        }
-        return json.dumps(obj, indent=2) + "\n"
+        return json.dumps(asdict(report), indent=2) + "\n"
     raise ValueError(f"unknown report format {format!r}")
+
+
+def _csv_row(record, columns: tuple) -> str:
+    # str of a float is its shortest round-tripping repr
+    return ",".join(str(getattr(record, c)) for c in columns)
+
+
+def _parse_row(cls, columns: tuple, line: str, **rest):
+    """A `cls` record from one CSV row; ValueError unless it has one field per column."""
+    kind = get_type_hints(cls)  # str, int or float: each parses its own cells
+    cells = zip(columns, line.split(","), strict=True)
+    return cls(**{c: kind[c](cell) for c, cell in cells}, **rest)
 
 
 def parse_report_csv(text: str) -> BenchmarkReport:
@@ -286,31 +290,10 @@ def parse_report_csv(text: str) -> BenchmarkReport:
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"bad report header: expected {CSV_HEADER!r}")
-    records: list[TimingRecord] = []
-    ratios: list[RatioRecord] = []
-    i = 1
-    while i < len(lines) and lines[i] != "# ratios":
-        backend, operation, n, d, elapsed, trials, seed = lines[i].split(",")
-        records.append(
-            TimingRecord(
-                backend=backend,
-                operation=operation,
-                n=int(n),
-                d=int(d),
-                elapsed_ms=float(elapsed),
-                trial_values_ms=[],
-                trials=int(trials),
-                seed=int(seed),
-            )
-        )
-        i += 1
-    if i < len(lines):
-        i += 1  # past '# ratios'
-        if i >= len(lines) or lines[i] != RATIO_HEADER:
-            raise ValueError(f"bad ratio header: expected {RATIO_HEADER!r}")
-        i += 1
-        while i < len(lines) and lines[i]:
-            operation, n, d, value = lines[i].split(",")
-            ratios.append(RatioRecord(operation, int(n), int(d), float(value)))
-            i += 1
+    cut = lines.index("# ratios") if "# ratios" in lines else len(lines)
+    records = [_parse_row(TimingRecord, _RECORD_COLUMNS, r, trial_values_ms=[]) for r in lines[1:cut]]
+    rest = lines[cut + 1 :]
+    if cut < len(lines) and rest[:1] != [RATIO_HEADER]:
+        raise ValueError(f"bad ratio header: expected {RATIO_HEADER!r}")
+    ratios = [_parse_row(RatioRecord, _RATIO_COLUMNS, r) for r in takewhile(bool, rest[1:])]
     return BenchmarkReport(config={}, environment="", records=records, ratios=ratios)

@@ -76,7 +76,9 @@ Small-enough subtrees become base cases: their cross-distance block is
 computed as one float32 matrix product, which is fast but not
 bitwise-canonical, so candidates are re-derived with the canonical kernel
 `core.sq_dists` among everything within a rigorous floating-point error
-window.  Weights stored and compared are therefore always canonical.
+window.  Weights stored and compared are therefore always canonical.  Both
+base cases re-derive through `_rederive`, the engine's one way: `sq_dists`
+on gathers, a chunk at a time, into buffers of the traversal.
 
 The block kernel is the only one, and serves data in any unit.  It centres
 the coordinates on the midpoint m of the live bounding box, so its window
@@ -607,8 +609,7 @@ class _DualTreeEngine:
         complex values by real part, then imaginary part, so one sort along
         the rows orders every row by (weight, id); ids stay below 2**53,
         exact in the imaginary part.  The K first entries of a row are its
-        merged list.  The canonical weights are re-derived by `sq_dists` on
-        gathers into buffers of the traversal.
+        merged list.  The canonical weights are re-derived by `_rederive`.
 
         Each row's candidates must lie contiguously in `p`, as
         `_knn_base_case` hands them over: one ascending run of rows for a
@@ -618,16 +619,7 @@ class _DualTreeEngine:
         m = len(p)
         cand = self._buf("cand", (m,), complex)
         cand.imag = q
-        # chunks: whole-merge gathers of a self block at d=15 were measured
-        # to raise peak RSS by about 0.9 MB
-        step = max(1, _GATHER_ELEMS // self.d)
-        for lo in range(0, m, step):
-            hi = min(lo + step, m)
-            a = self._buf("gather_p", (hi - lo, self.d), np.float64)
-            b = self._buf("gather_q", (hi - lo, self.d), np.float64)
-            np.take(self.coords, self.live[p[lo:hi]], axis=0, out=a, mode="clip")
-            np.take(self.coords, q[lo:hi], axis=0, out=b, mode="clip")
-            cand.real[lo:hi] = sq_dists(a, b)
+        self._rederive(self.live[p], q, cand.real)
         self.knn_rederived += m
         heads = np.ones(m, dtype=bool)
         heads[1:] = p[1:] != p[:-1]
@@ -641,6 +633,21 @@ class _DualTreeEngine:
         rows[group, col] = cand
         rows.sort(axis=1)
         self.knn[prow] = rows[:, :_K]
+
+    def _rederive(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        """Canonical squared weights of pairs (a[i], b[i]) into `out`, by chunks.
+
+        Whole gathers were measured to raise peak RSS by 0.9 MB on a self
+        block at d=15 and by 30 MB on a fallback block of heavy duplicates.
+        """
+        step = max(1, _GATHER_ELEMS // self.d)
+        for lo in range(0, len(a), step):
+            hi = min(lo + step, len(a))
+            ga = self._buf("gather_p", (hi - lo, self.d), np.float64)
+            gb = self._buf("gather_q", (hi - lo, self.d), np.float64)
+            np.take(self.coords, a[lo:hi], axis=0, out=ga, mode="clip")
+            np.take(self.coords, b[lo:hi], axis=0, out=gb, mode="clip")
+            out[lo:hi] = sq_dists(ga, gb)
 
     def _base_case(self, qs: _NodeState, rs: _NodeState) -> None:
         w, err = self._block(qs, rs)
@@ -661,7 +668,9 @@ class _DualTreeEngine:
         ri, cols = np.nonzero(near)
         qi = rows[ri]
         qid, rid = qs.ids[qi], rs.ids[cols]
-        self._offer(qs.roots[qi], qid, rid, sq_dists(self.coords[qid], self.coords[rid]))
+        sq = np.empty(len(qid))
+        self._rederive(qid, rid, sq)
+        self._offer(qs.roots[qi], qid, rid, sq)
 
     def _offer(self, comp: np.ndarray, p: np.ndarray, q: np.ndarray, w: np.ndarray) -> None:
         """Offer pairs (p, q) of canonical squared weight w to components `comp`.

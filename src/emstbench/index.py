@@ -24,6 +24,12 @@ browsing as in Hjaltason & Samet, ACM TODS 1999): nodes leave a heap in
 order of their bound, and the search stops once the nearest bound left
 exceeds the current k-th distance.
 
+No whole-tree pass recurses, since inserts never rebalance and a stream
+along a line grows a tree a thousand levels deep.  `IndexNode.walk` yields
+a subtree in pre-order, left before right; on it `audit` checks a leaf's
+`n_live` against its ids and an internal node's stored counts against the
+sums of its children's stored counts.
+
 Deletion is lazy: the id is dropped from its leaf and counted as a
 tombstone; once tombstones outnumber live points anywhere on the
 root-to-leaf path, that whole subtree is rebuilt from its live points.
@@ -93,16 +99,21 @@ class IndexNode:
             self._arr = np.array(self.ids, dtype=np.intp)
         return self._arr
 
-    def collect_live_ids(self) -> list[int]:
-        out: list[int] = []
+    def walk(self):
+        """This subtree's nodes in pre-order, left before right, without recursion."""
         stack = [self]
         while stack:
             node = stack.pop()
-            if node.is_leaf:
-                out.extend(node.ids)
-            else:
+            yield node
+            if node.ids is None:
                 stack.append(node.right)
                 stack.append(node.left)
+
+    def collect_live_ids(self) -> list[int]:
+        out: list[int] = []
+        for node in self.walk():
+            if node.ids is not None:
+                out.extend(node.ids)
         return out
 
 
@@ -145,16 +156,12 @@ class SpatialIndex:
 
     def depth(self) -> int:
         """Maximum number of edges on a root-to-leaf path."""
-        best = 0
-        stack = [(self.root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            if node.is_leaf:
-                best = max(best, depth)
-            else:
-                stack.append((node.left, depth + 1))
-                stack.append((node.right, depth + 1))
-        return best
+        level, depth = [self.root], 0
+        while True:
+            level = [c for node in level if not node.is_leaf for c in (node.left, node.right)]
+            if not level:
+                return depth
+            depth += 1
 
     # -- construction -------------------------------------------------------
 
@@ -324,8 +331,7 @@ class SpatialIndex:
         index are checked here; `_audit_region` checks each node's region.
         """
         seen: dict[int, IndexNode] = {}
-
-        def walk(node: IndexNode) -> tuple[int, int]:
+        for node in self.root.walk():
             self._audit_region(node)
             if node.is_leaf:
                 if len(node.ids) > self.leaf_capacity:
@@ -336,19 +342,14 @@ class SpatialIndex:
                     if i in seen:
                         raise AssertionError(f"id {i} appears in more than one leaf")
                     seen[i] = node
-                return node.n_live, node.n_tomb
-            for child in (node.left, node.right):
-                if child.parent is not node:
-                    raise AssertionError("broken parent link")
-            ll, lt = walk(node.left)
-            rl, rt = walk(node.right)
-            if node.n_live != ll + rl:
+                continue
+            left, right = node.left, node.right
+            if left.parent is not node or right.parent is not node:
+                raise AssertionError("broken parent link")
+            if node.n_live != left.n_live + right.n_live:
                 raise AssertionError("internal live count != sum of children")
-            if node.n_tomb != lt + rt:
+            if node.n_tomb != left.n_tomb + right.n_tomb:
                 raise AssertionError("internal tombstone count != sum of children")
-            return node.n_live, node.n_tomb
-
-        walk(self.root)
         if seen.keys() != self._leaf_of.keys():
             raise AssertionError("leaf contents out of sync with the id index")
         for i, leaf in seen.items():

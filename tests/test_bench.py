@@ -182,3 +182,19 @@ class TestEmitReport:
     def test_parse_rejects_bad_header(self):
         with pytest.raises(ValueError, match="header"):
             parse_report_csv("nope\n")
+
+    @pytest.mark.parametrize(
+        "line, row",
+        [
+            (1, "kd,build,100,3,1.5,3"),
+            (1, "kd,build,100,3,1.5,3,7,8"),
+            (5, "build,100,3"),
+            (5, "build,100,3,3.0,4"),
+        ],
+        ids=["record-short", "record-long", "ratio-short", "ratio-long"],
+    )
+    def test_parse_rejects_a_row_of_the_wrong_width(self, line, row):
+        lines = emit_report(self.sample_report(), "csv").splitlines()
+        lines[line] = row
+        with pytest.raises(ValueError):
+            parse_report_csv("\n".join(lines) + "\n")

@@ -794,7 +794,7 @@ def test_traversal_buffers_die_with_their_traversal(backend_cls, monkeypatch):
         assert all(ref() is None for _, ref in made)
         made.clear()
     assert names[0] == {"block", "gather_p", "gather_q", "cand", "rows"}  # list pass
-    assert {"block"} in names[1:]  # a round that fell back to the tree
+    assert {"block", "gather_p", "gather_q"} in names[1:]  # a round that fell back to the tree
 
 
 @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
@@ -816,6 +816,21 @@ def test_lists_are_exact_when_gathers_take_many_chunks(backend_cls, monkeypatch)
         dsu.union(e.u, e.v)
     got = find_component_neighbors(index, dsu)
     assert got == _naive_candidates(cross_sq_dists(ds.coords, ds.coords), dsu)
+
+
+@pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+def test_fallback_rounds_are_exact_when_gathers_take_many_chunks(backend_cls, monkeypatch):
+    """The fallback base case re-derives through the same chunked gathers."""
+    monkeypatch.setattr(emst_module, "_GATHER_ELEMS", 7)
+    rng = np.random.default_rng(3)
+    ds = Dataset(rng.random((20, 3))[rng.permutation(np.arange(600) % 20)])
+    index = backend_cls(ds, 20)
+    sq = cross_sq_dists(ds.coords, ds.coords)
+    fallback = []
+    for dsu, candidates in boruvka_rounds(index, ds.n):
+        assert candidates == _naive_candidates(sq, dsu)
+        fallback.append(index._emst_engine.fallback_components)
+    assert fallback == [0, 20, 5]
 
 
 def test_fallback_rounds_never_import_numpy_ma():

@@ -250,6 +250,25 @@ def test_audit_catches_a_shrunk_box(rng):
         tree.audit()
 
 
+@both_indexes
+def test_audit_walks_a_tree_deeper_than_the_recursion_limit(index_cls):
+    """1099 inserts along a line at leaf capacity 1 build a 1099-deep tree."""
+    tree = make_tree([[0.0, 0.0]], 1, index_cls)
+    for k in range(1, 1100):
+        tree.insert(Point(k, [float(k), 0.0]))
+    assert tree.depth() == 1099
+    tree.audit()
+    assert sorted(tree.live_ids()) == list(range(1100))
+    assert [i for i, _ in tree.knn([550.2, 0.0], 2)] == [550, 551]
+    node, level = tree.root, 0
+    while level <= 1000:
+        node = node.right if node.left.is_leaf else node.left
+        level += 1
+    node.n_live += 1
+    with pytest.raises(AssertionError):
+        tree.audit()
+
+
 class TestKnnRange:
     """k-NN on coordinates near the float64 limits, on both indexes."""
 
