@@ -187,10 +187,9 @@ class BallTree(SpatialIndex):
     def _point_region(c: list) -> tuple:
         return c, 0.0
 
-    def _audit_region(self, node: BallNode) -> None:
-        live = node.collect_live_ids()
-        if live:
-            dists = np.sqrt(sq_dists(self._coords[np.array(live, dtype=np.intp)], node.center))
+    def _audit_region(self, node: BallNode, live: np.ndarray, parts: tuple) -> None:
+        if len(live):
+            dists = np.sqrt(sq_dists(self._coords[live], node.center))
             if float(dists.max()) > node.radius + _CONTAINMENT_SLACK:
                 raise AssertionError(
                     f"point escapes ball: dist {dists.max()} > radius {node.radius}"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -182,27 +183,40 @@ class Edge:
         if not self.u < self.v:
             raise ValueError(f"edge ids must satisfy u < v, got ({self.u}, {self.v})")
 
-    @property
-    def key(self) -> tuple[float, int, int]:
-        return (self.weight, self.u, self.v)
 
-
-@dataclass
 class EdgeList:
-    """A list of edges plus their summed weight (fsum for stability)."""
+    """Edges as arrays: edge i joins ids u[i] < v[i] (intp) at weight w[i] (float64).
 
-    edges: list[Edge]
-    total_weight: float
+    `total_weight` is `math.fsum(w)`, correctly rounded in any edge order;
+    `Edge` objects are built only when `.edges` is first read.
+    """
+
+    def __init__(self, u, v, w):
+        self.u, self.v, self.w = np.array(u, np.intp), np.array(v, np.intp), np.array(w, np.float64)
+        bad = self.u >= self.v
+        if bad.any():
+            raise ValueError(f"edge ids must satisfy u < v, got ({self.u[bad][0]}, {self.v[bad][0]})")
+        self.total_weight = math.fsum(self.w.tolist())
 
     @classmethod
     def from_edges(cls, edges: list[Edge]) -> "EdgeList":
-        return cls(list(edges), math.fsum(e.weight for e in edges))
+        el = cls([e.u for e in edges], [e.v for e in edges], [e.weight for e in edges])
+        el.edges = list(edges)  # the cache `.edges` reads
+        return el
+
+    @cached_property
+    def edges(self) -> list[Edge]:
+        return list(map(Edge, self.u.tolist(), self.v.tolist(), self.w.tolist()))
+
+    def order(self) -> np.ndarray:
+        """Edge indices ascending by the total order (w, u, v)."""
+        return np.lexsort((self.v, self.u, self.w))
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges, key=lambda e: e.key)
+        return [self.edges[i] for i in self.order().tolist()]
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.w)
 
 
 # ---------------------------------------------------------------------------

@@ -123,8 +123,8 @@ products with 1.0 are exact; sums with a subnormal result are exact.  That
 is (5d + 2) * 2**-150 in all.  The floor (4d + 8) * 2**-149 also covers
 rounding the window itself to float32 and a canonical weight's float64
 underflow, at most d * 2**-1075, which e >= -460 keeps below d * 2**-155.
-The floor assumes that float32 BLAS keeps subnormal products rather than
-flushing them to zero.
+The floor assumes that float32 BLAS keeps subnormals rather than flushing
+them to zero; each engine checks this first (`_gemm_keeps_subnormals`).
 """
 
 from __future__ import annotations
@@ -204,8 +204,43 @@ def _resolve_roots(parent: np.ndarray) -> np.ndarray:
         parent = jumped
 
 
+def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Component root of each id 0..n-1 under the edges (u[i], v[i]), as arrays.
+
+    Components are named by root ids.  Each round every component with an
+    edge to another hooks onto its least-named neighbour, a mutual pair keeps
+    its smaller name as root, and `_resolve_roots` relabels.  The hooks form a
+    forest but for mutual pairs: in a cycle C1 -> ... -> Ck -> C1 with k > 2,
+    C(i+1) hooks onto C(i+2) though C(i) is its neighbour too, so C(i+2) <
+    C(i) for every i, which cannot hold all around.  Every component with a
+    neighbour merges each round, so their count at least halves: at most
+    log2(n) rounds, even on a path, where spreading the least name takes n.
+    """
+    ids = labels = np.arange(n)
+    while True:
+        a, b = labels[u], labels[v]
+        cross = a != b
+        if not cross.any():
+            return labels
+        u, v, a, b = u[cross], v[cross], a[cross], b[cross]
+        least = np.full(n, n)
+        np.minimum.at(least, a, b)
+        np.minimum.at(least, b, a)
+        hook = np.where(least < n, least, ids)
+        root = (hook[hook] == ids) & (ids < hook)  # the smaller of a mutual pair
+        hook[root] = ids[root]
+        labels = _resolve_roots(hook)[labels]
+
+
 # ---------------------------------------------------------------------------
 # dual-tree traversal engine
+
+
+def _gemm_keeps_subnormals() -> bool:
+    """Whether float32 GEMM, as `_block` calls it, keeps subnormal inputs and products."""
+    q = np.array([[2.0**-70, 2.0**-130]] * 2, dtype=np.float32)
+    r = np.array([[2.0**-70, 1.0]] * 2, dtype=np.float32)
+    return bool((np.matmul(q, r.T).astype(np.float64) == 2.0**-130 + 2.0**-140).all())
 
 
 def _base_capacity(d: int) -> int:
@@ -278,6 +313,8 @@ class _DualTreeEngine:
     def __init__(self, tree):
         # no reference back to the index: the index holds the engine, and a
         # cycle would keep both alive until the cyclic collector runs
+        if not _gemm_keeps_subnormals():
+            raise RuntimeError("float32 BLAS flushes subnormals, which the block kernel's window assumes it does not")
         self.token = tree._mutations
         self.coords = tree.coords
         self.d = tree.d
@@ -858,7 +895,7 @@ def dual_tree_boruvka(
     if sites is None:
         index = BACKENDS[backend](ds, leaf_capacity)
         u, v, sq, rounds = _boruvka_edges(_engine_for(index), ds.n)
-    result = EdgeList.from_edges(list(map(Edge, u.tolist(), v.tolist(), np.sqrt(sq).tolist())))
+    result = EdgeList(u, v, np.sqrt(sq))
     return (result, rounds) if return_rounds else result
 
 
@@ -940,21 +977,25 @@ def kruskal_mst(ds: Dataset) -> EdgeList:
 
 
 def validate_spanning_tree(edgelist: EdgeList, n: int) -> None:
-    """Raise ValueError unless the edges form a spanning tree over ids 0..n-1."""
-    edges = edgelist.edges
-    if len(edges) != n - 1:
-        raise ValueError(f"spanning tree over {n} points needs {n - 1} edges, got {len(edges)}")
-    dsu = DisjointSet(n)
-    for e in edges:
-        if not (0 <= e.u < n and 0 <= e.v < n):
-            raise ValueError(f"edge ({e.u}, {e.v}) references ids outside 0..{n - 1}")
-        if not dsu.union(e.u, e.v):
-            raise ValueError(f"edge ({e.u}, {e.v}) closes a cycle")
+    """Raise ValueError unless the edges form a spanning tree over ids 0..n-1.
+
+    n - 1 edges in range that leave more than one component close a cycle.
+    """
+    u, v = edgelist.u, edgelist.v
+    if len(u) != n - 1:
+        raise ValueError(f"spanning tree over {n} points needs {n - 1} edges, got {len(u)}")
+    bad = (u < 0) | (v >= n)  # u < v on every edge
+    if bad.any():
+        raise ValueError(f"edge ({u[bad][0]}, {v[bad][0]}) references ids outside 0..{n - 1}")
+    parts = np.count_nonzero(_component_roots(n, u, v) == np.arange(n))
+    if parts > 1:
+        raise ValueError(f"the {n - 1} edges leave {parts} components, so they close a cycle")
 
 
 def format_edges(edgelist: EdgeList) -> str:
     """Edge file: 'u,v,weight' lines ascending by the total order, then the total."""
-    lines = [f"{e.u},{e.v},{fmt17(e.weight)}" for e in edgelist.sorted_edges()]
+    u, v, w = (a[edgelist.order()].tolist() for a in (edgelist.u, edgelist.v, edgelist.w))
+    lines = [f"{a},{b},{fmt17(x)}" for a, b, x in zip(u, v, w)]
     lines.append(f"# total_weight={fmt17(edgelist.total_weight)}")
     return "\n".join(lines) + "\n"
 

@@ -8,10 +8,11 @@ its geometry, following the tree / prune-rule / base-case split of Curtin
 et al., "Tree-Independent Dual-Tree Algorithms" (ICML 2013):
 
 * the index: `_make_node(ids)` (a node bounding those points), `_split(node,
-  ids)` (the two child id sets), `_audit_region(node)` (its own audit
-  checks), `_region_min_sq(a, b)` (squared lower bound between two region
-  snapshots, in plain Python floats) and `_point_region(c)` (a point as a
-  degenerate snapshot, so one bound serves node-to-point and node-to-node);
+  ids)` (the two child id sets), `_audit_region(node, live, parts)` (its own
+  audit checks on its live ids and its children's), `_region_min_sq(a, b)`
+  (squared lower bound between two region snapshots, in plain Python floats)
+  and `_point_region(c)` (a point as a degenerate snapshot, so one bound
+  serves node-to-point and node-to-node);
 * the node: `region` (its snapshot, kept current by every change),
   `child_for(c)` (the child an inserted point descends into), `include(c,
   alone)` (grow the region to take c in; `alone` when c is its only point)
@@ -26,9 +27,9 @@ exceeds the current k-th distance.
 
 No whole-tree pass recurses, since inserts never rebalance and a stream
 along a line grows a tree a thousand levels deep.  `IndexNode.walk` yields
-a subtree in pre-order, left before right; on it `audit` checks a leaf's
-`n_live` against its ids and an internal node's stored counts against the
-sums of its children's stored counts.
+a subtree in pre-order, left before right; `audit` runs it backwards, children
+first, and checks a leaf's `n_live` against its ids and an internal node's
+stored counts against the sums of its children's stored counts.
 
 Deletion is lazy: the id is dropped from its leaf and counted as a
 tombstone; once tombstones outnumber live points anywhere on the
@@ -331,8 +332,11 @@ class SpatialIndex:
         index are checked here; `_audit_region` checks each node's region.
         """
         seen: dict[int, IndexNode] = {}
-        for node in self.root.walk():
-            self._audit_region(node)
+        below: dict[IndexNode, np.ndarray] = {}  # a subtree's live ids, until its parent joins them
+        for node in reversed(list(self.root.walk())):
+            parts = () if node.is_leaf else (below.pop(node.left), below.pop(node.right))
+            live = below[node] = np.concatenate(parts) if parts else np.array(node.ids, dtype=np.intp)
+            self._audit_region(node, live, parts)
             if node.is_leaf:
                 if len(node.ids) > self.leaf_capacity:
                     raise AssertionError(f"leaf holds {len(node.ids)} > capacity {self.leaf_capacity}")

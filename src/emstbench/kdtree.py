@@ -130,18 +130,16 @@ class KdTree(SpatialIndex):
     def _point_region(c: list) -> tuple:
         return c, c
 
-    def _audit_region(self, node: KdNode) -> None:
-        live = np.array(node.collect_live_ids(), dtype=np.intp)
-        mins, maxs = node.mins, node.maxs
-        escapes = ((self._coords[live] < mins) | (self._coords[live] > maxs)).any(axis=1)
+    def _audit_region(self, node: KdNode, live: np.ndarray, parts: tuple) -> None:
+        pts = self._coords[live]
+        escapes = ((pts < node.mins) | (pts > node.maxs)).any(axis=1)
         if escapes.any():
             raise AssertionError(f"point {live[escapes.argmax()]} escapes its node's bounding box")
-        if node.is_leaf:
+        if not parts:
             return
-        left_ids = node.left.collect_live_ids()
-        right_ids = node.right.collect_live_ids()
-        dim, sv = node.split_dim, node.split_value
-        if left_ids and self._coords[left_ids, dim].max() > sv:
+        # `live` is the left child's ids, then the right child's
+        side, k = pts[:, node.split_dim], len(parts[0])
+        if k and side[:k].max() > node.split_value:
             raise AssertionError("left subtree violates split plane")
-        if right_ids and self._coords[right_ids, dim].min() < sv:
+        if k < len(side) and side[k:].min() < node.split_value:
             raise AssertionError("right subtree violates split plane")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, Edge, EdgeList, cross_sq_dists
-from .emst import DisjointSet, validate_spanning_tree
+from .emst import DisjointSet, _component_roots, validate_spanning_tree
 
 __all__ = [
     "MergeStep",
@@ -46,8 +46,13 @@ class Dendrogram:
 
 
 def _canonical_labels(dsu: DisjointSet, n: int) -> np.ndarray:
-    """Cluster indices assigned by first appearance in id order."""
-    _, first, inverse = np.unique(dsu.roots_array()[:n], return_index=True, return_inverse=True)
+    """Cluster indices of a DisjointSet's first n elements (`_first_seen`)."""
+    return _first_seen(dsu.roots_array()[:n])
+
+
+def _first_seen(roots: np.ndarray) -> np.ndarray:
+    """Cluster indices assigned by first appearance of each root in id order."""
+    _, first, inverse = np.unique(roots, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.intp)
     rank[np.argsort(first)] = np.arange(len(first))
     return rank[inverse]
@@ -56,16 +61,15 @@ def _canonical_labels(dsu: DisjointSet, n: int) -> np.ndarray:
 def single_linkage(mst: EdgeList, n: int, k: int) -> np.ndarray:
     """Labels of the k single-linkage clusters: cut the k-1 heaviest MST edges.
 
+    The n - k lightest edges are joined as arrays (`emst._component_roots`).
     Labels are canonical: the cluster containing the smallest id gets 0, the
     next unseen id's cluster gets 1, and so on.
     """
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     validate_spanning_tree(mst, n)
-    dsu = DisjointSet(n)
-    for edge in mst.sorted_edges()[: n - k]:
-        dsu.union(edge.u, edge.v)
-    return _canonical_labels(dsu, n)
+    keep = mst.order()[: n - k]
+    return _first_seen(_component_roots(n, mst.u[keep], mst.v[keep]))
 
 
 def dendrogram(mst: EdgeList, n: int) -> Dendrogram:

@@ -11,7 +11,9 @@ from emstbench import (
     EdgeList,
     ParseError,
     Point,
+    dual_tree_boruvka,
     euclidean_distance,
+    format_edges,
     generate_synthetic,
     load_dataset,
     write_dataset,
@@ -204,6 +206,52 @@ class TestEdges:
     def test_sorted_edges_uses_total_order(self):
         el = EdgeList.from_edges([Edge(0, 2, 1.0), Edge(0, 1, 1.0), Edge(1, 2, 0.5)])
         assert [(e.u, e.v) for e in el.sorted_edges()] == [(1, 2), (0, 1), (0, 2)]
+
+
+def edge_object_formatter(edgelist: EdgeList) -> str:
+    """The edge file written edge object by edge object, as `format_edges` once did."""
+    lines = [f"{e.u},{e.v},{fmt17(e.weight)}" for e in sorted(edgelist.edges, key=lambda e: (e.weight, e.u, e.v))]
+    lines.append(f"# total_weight={fmt17(math.fsum(e.weight for e in edgelist.edges))}")
+    return "\n".join(lines) + "\n"
+
+
+def edge_lists(kind: str, n: int, seed: int):
+    """An EMST of either backend, or a from_edges list, on uniform or lattice points."""
+    rng = np.random.default_rng(seed)
+    if kind.endswith("lattice"):
+        # small integer coordinates: most weights tie, so ids decide the order
+        coords = rng.integers(0, 4, (n, 2)).astype(float)
+    else:
+        coords = rng.random((n, 3))
+    if kind.startswith("edges"):
+        u = rng.integers(0, n - 1, n)
+        v = u + 1 + rng.integers(0, n - 1 - u)
+        w = np.sqrt(cross_sq_dists(coords, coords)[u, v])
+        return EdgeList.from_edges(list(map(Edge, u.tolist(), v.tolist(), w.tolist())))
+    return dual_tree_boruvka(Dataset(coords), kind.split("-")[0])
+
+
+class TestArrayEdgeList:
+    """`EdgeList` holds arrays; `.edges`, the order, the total and the file agree with them."""
+
+    KINDS = ["kd-uniform", "ball-uniform", "kd-lattice", "ball-lattice", "edges-uniform", "edges-lattice"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(KINDS), st.integers(2, 120), st.integers(0, 2**32 - 1))
+    def test_views_agree_with_the_arrays(self, kind, n, seed):
+        el = edge_lists(kind, n, seed)
+        edges = el.edges
+        assert el.edges is edges
+        assert [(e.u, e.v, e.weight) for e in edges] == list(zip(el.u.tolist(), el.v.tolist(), el.w.tolist()))
+        assert len(el) == len(edges)
+        assert el.sorted_edges() == sorted(edges, key=lambda e: (e.weight, e.u, e.v))
+        assert el.total_weight.hex() == math.fsum(e.weight for e in edges).hex()
+        assert format_edges(el) == edge_object_formatter(el)
+
+    @pytest.mark.parametrize("u, v", [([0, 3], [1, 3]), ([0, 4], [1, 2])])
+    def test_rejects_any_edge_without_u_below_v(self, u, v):
+        with pytest.raises(ValueError, match=f"u < v, got \\({u[1]}, {v[1]}\\)"):
+            EdgeList(u, v, [1.0, 1.0])
 
 
 def test_fmt17_round_trips_exactly(rng):

@@ -31,8 +31,16 @@ from emstbench import (
     validate_spanning_tree,
 )
 from emstbench.core import cross_sq_dists, sq_dists
-from emstbench.emst import _K, _DualTreeEngine, _least_per_group, _naive_candidates, _NodeState
-from conftest import random_dataset
+from emstbench.emst import (
+    _K,
+    _component_roots,
+    _DualTreeEngine,
+    _gemm_keeps_subnormals,
+    _least_per_group,
+    _naive_candidates,
+    _NodeState,
+)
+from conftest import random_dataset, shuffled_path, star
 
 
 def edge_key(el: EdgeList):
@@ -770,6 +778,22 @@ def test_float32_matmul_keeps_subnormal_products(rows, inner):
     np.testing.assert_array_equal(a @ a.T, np.float32(inner) * tiny)
 
 
+def test_the_subnormal_probe_passes_on_this_blas():
+    assert _gemm_keeps_subnormals()
+
+
+def test_a_blas_that_flushes_subnormals_is_refused(rng, monkeypatch, tmp_path, capsys):
+    from emstbench.cli import main
+
+    monkeypatch.setattr(emst_module, "_gemm_keeps_subnormals", lambda: False)
+    with pytest.raises(RuntimeError, match="flushes subnormals"):
+        dual_tree_boruvka(random_dataset(rng, 30, 3), "kd")
+    data = tmp_path / "pts.csv"
+    data.write_text("0,0\n1,0\n5,0\n")
+    assert main(["emst", "--in", str(data)]) == 1
+    assert capsys.readouterr().err.startswith("error: float32 BLAS flushes subnormals")
+
+
 @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
 def test_traversal_buffers_die_with_their_traversal(backend_cls, monkeypatch):
     """Block pair, re-derivation gathers and merge rows are freed when a traversal ends."""
@@ -1103,3 +1127,105 @@ class TestValidateSpanningTree:
     def test_accepts_valid_tree(self, rng):
         ds = random_dataset(rng, 50, 2)
         validate_spanning_tree(kruskal_mst(ds), 50)
+
+
+def same_grouping(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two root arrays put the same ids together, whatever the root names."""
+    n = len(a)
+    least = [np.full(n, n), np.full(n, n)]
+    for m, roots in zip(least, (a, b)):
+        np.minimum.at(m, roots, np.arange(n))
+    return np.array_equal(least[0][a], least[1][b])
+
+
+class TestComponentRoots:
+    """`_component_roots` groups ids as a DisjointSet does, in O(log n) rounds."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=120),
+    )
+    def test_matches_the_disjoint_set(self, n, pairs):
+        # repeated edges, cycles and self pairs all occur
+        u = np.array([a % n for a, _ in pairs], dtype=np.intp)
+        v = np.array([b % n for _, b in pairs], dtype=np.intp)
+        dsu = DisjointSet(n)
+        for a, b in zip(u.tolist(), v.tolist()):
+            dsu.union(a, b)
+        roots = _component_roots(n, u, v)
+        assert same_grouping(roots, dsu.roots_array())
+        assert (roots[roots] == roots).all()
+
+    def test_a_path_takes_logarithmically_many_rounds(self, monkeypatch):
+        n = 20000
+        el = shuffled_path(n, 5)
+        rounds = []
+        resolve = emst_module._resolve_roots
+
+        def counting(parent):
+            rounds.append(1)
+            return resolve(parent)
+
+        monkeypatch.setattr(emst_module, "_resolve_roots", counting)
+        roots = _component_roots(n, el.u, el.v)
+        assert (roots == roots[0]).all()
+        assert 0 < len(rounds) <= math.log2(n)
+
+
+class TestValidateOnArrays:
+    """`validate_spanning_tree` on large trees and on each defect, built as arrays."""
+
+    @pytest.mark.parametrize("el", [shuffled_path(20000, 11), star(20000, 0), star(20000, 12345)])
+    def test_accepts_a_path_and_a_star(self, el):
+        validate_spanning_tree(el, 20000)
+
+    def test_n_minus_one_edges_with_a_cycle_raise(self):
+        # a shuffled path p0 - p1 - ... whose last edge is swapped for the chord (p0, p2)
+        ids = np.random.default_rng(3).permutation(1000)
+        a, b = ids[:-1].copy(), ids[1:].copy()
+        a[-1], b[-1] = ids[0], ids[2]
+        el = EdgeList(np.minimum(a, b), np.maximum(a, b), np.ones(999))
+        with pytest.raises(ValueError, match="2 components, so they close a cycle"):
+            validate_spanning_tree(el, 1000)
+
+    def test_names_the_first_out_of_range_edge(self):
+        el = EdgeList([0, 1, 2, 0], [1, 7, 9, 3], [1.0] * 4)
+        with pytest.raises(ValueError, match=r"edge \(1, 7\) references ids outside 0\.\.4"):
+            validate_spanning_tree(el, 5)
+        with pytest.raises(ValueError, match=r"edge \(-1, 0\) references ids outside"):
+            validate_spanning_tree(EdgeList([-1], [0], [1.0]), 2)
+
+    def test_one_point_and_no_edges_pass(self):
+        validate_spanning_tree(EdgeList([], [], []), 1)
+
+
+class TestNoEdgeObjectsOnTheHotPath:
+    """The EMST, its file, validation and clustering build no `Edge`; `.edges` builds n - 1 once."""
+
+    @pytest.mark.parametrize("backend", ["kd", "ball"])
+    @pytest.mark.parametrize("kind", ["uniform", "sites20"])
+    def test_edges_are_built_only_when_read(self, backend, kind, monkeypatch):
+        from emstbench import single_linkage
+
+        rng = np.random.default_rng(17)
+        coords = rng.random((600, 3))
+        if kind == "sites20":
+            coords = coords[:20][rng.integers(0, 20, 600)]
+        made = []
+        check = Edge.__post_init__
+
+        def counting(self):
+            made.append(1)
+            check(self)
+
+        monkeypatch.setattr(Edge, "__post_init__", counting)
+        el = dual_tree_boruvka(Dataset(coords), backend)
+        format_edges(el)
+        validate_spanning_tree(el, 600)
+        for k in (1, 7, 600):
+            single_linkage(el, 600, k)
+        assert made == []
+        edges = el.edges
+        assert len(made) == 599
+        assert el.edges is edges and len(made) == 599

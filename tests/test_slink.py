@@ -12,8 +12,9 @@ from emstbench import (
     naive_single_linkage,
     single_linkage,
 )
-from emstbench.slink import format_labels
-from conftest import random_dataset
+from emstbench.emst import DisjointSet
+from emstbench.slink import _canonical_labels, format_labels
+from conftest import random_dataset, shuffled_path, star
 
 
 def far_pairs_dataset():
@@ -122,6 +123,22 @@ class TestOracleEquivalence:
         ds = random_dataset(rng, 5, 2)
         with pytest.raises(ValueError):
             naive_single_linkage(ds, 6)
+
+
+def disjoint_set_labels(mst: EdgeList, n: int, k: int) -> np.ndarray:
+    """Labels of k clusters by the edge-by-edge DisjointSet union of the n - k lightest edges."""
+    dsu = DisjointSet(n)
+    for edge in mst.sorted_edges()[: n - k]:
+        dsu.union(edge.u, edge.v)
+    return _canonical_labels(dsu, n)
+
+
+@pytest.mark.parametrize("mst", [shuffled_path(20000, 9), star(20000, 777)], ids=["path", "star"])
+@pytest.mark.parametrize("k", [1, 2, 7, 20000])
+def test_large_path_and_star_cluster_as_the_disjoint_set_does(mst, k):
+    labels = single_linkage(mst, 20000, k)
+    assert labels.max() == k - 1
+    assert (labels == disjoint_set_labels(mst, 20000, k)).all()
 
 
 def test_format_labels_shape():
