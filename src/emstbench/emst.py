@@ -50,8 +50,11 @@ Each list is one row of complex numbers, weight + 1j * id, padded with
 inf - 1j: one sort of a row with its candidates orders it by (weight, id), so
 a merge copies whole rows in and out.  A list-pass base case over two
 distinct base nodes finds the entries either side may take in one pass over
-its block, then splits, trims and orders them by side from those hits alone;
-a self block has one side.
+its block, then splits, trims and orders them by side from those hits alone,
+and merges them with the lists.  A self block, which pairs a base node with
+itself, is its rows' first base case, since the traversal finishes both
+children's self pairs before their cross pair: its lists hold only pads, so
+it trims every row and fills the lists from its candidates alone.
 
 The traversal prunes a node pair when both sides sit inside one component,
 or when the region-to-region lower bound exceeds both sides' node bounds.
@@ -531,6 +534,8 @@ class _DualTreeEngine:
             elif b.base:
                 pairs = ((a.left, b), (a.right, b))
             elif a is b:
+                # self pairs are popped first, so a base node's self block is
+                # its rows' first base case: `_knn_base_case` fills empty lists
                 left, right = a.left, a.right
                 stack.append((min_sq(left.region, right.region), left, right))
                 stack.append((0.0, right, right))
@@ -580,15 +585,16 @@ class _DualTreeEngine:
         if qs is rs:
             np.fill_diagonal(w, np.inf)
             own, other = self._knn_candidates(w, self._limits(qs, err), err)
-            p, q = qs.roots[own], qs.ids[other]
+            p, q, keep = qs.roots[own], qs.ids[other], 0
         else:
             (i, j), (jr, ir) = self._knn_cross_candidates(
                 w, self._limits(qs, err), self._limits(rs, err), err
             )
             p = np.concatenate((qs.roots[i], rs.roots[jr]))
             q = np.concatenate((rs.ids[j], qs.ids[ir]))
+            keep = _K
         if len(p):
-            self._knn_merge(p, q)
+            self._knn_merge(p, q, keep)
 
     def _limits(self, s: _NodeState, err: float) -> np.ndarray:
         """Per-point limits on block values, by the one limit rule (module docstring)."""
@@ -598,23 +604,20 @@ class _DualTreeEngine:
 
     @staticmethod
     def _knn_candidates(w, limits, err: float):
-        """Block entries (owner index, other index) that may enter the owner's list.
+        """Entries (row, column) of a self block `w` that may enter the row's list.
 
-        Owners are the rows of `w`; the pairs of each owner come in ascending
-        order of the other index.  An entry can enter an owner's list only if
-        its canonical weight is at most the owner's current K-th weight and
-        at most the owner's K-th smallest canonical weight in this block;
-        within the error window that means a fast value <= min(K-th + err,
-        K-th smallest fast value + 2 err).  The finite limits also exclude
-        the masked (infinite) diagonal.
+        The pairs come row by row, each row's in ascending column order.  An
+        entry can enter a row's list only if its canonical weight is at most
+        the row's current K-th weight and at most the row's K-th smallest
+        canonical weight in this block; within the error window that means a
+        fast value <= min(K-th + err, K-th smallest fast value + 2 err).  With
+        more than K columns every row is trimmed at the latter: a row with
+        at most K hits loses none, as its hits are its smallest values.  The
+        finite limits also exclude the masked (infinite) diagonal.
         """
-        hit = w <= limits[:, None]
-        crowded = np.flatnonzero(np.count_nonzero(hit, axis=1) > _K)
-        if len(crowded):
-            sub = w[crowded]
-            limit = np.partition(sub, _K - 1, axis=1)[:, _K - 1] + 2.0 * err
-            hit[crowded] &= sub <= limit[:, None]
-        return np.divmod(np.flatnonzero(hit), w.shape[1])
+        if w.shape[1] > _K:
+            limits = np.minimum(limits, np.partition(w, _K - 1, axis=1)[:, _K - 1] + 2.0 * err)
+        return np.divmod(np.flatnonzero(w <= limits[:, None]), w.shape[1])
 
     @staticmethod
     def _knn_cross_candidates(w, lq, lr, err: float):
@@ -638,11 +641,13 @@ class _DualTreeEngine:
         order = np.argsort(jr.astype(np.uint16) if w.shape[1] <= 1 << 16 else jr, kind="stable")
         return (i[mine], j[mine]), (jr[order], ir[order])
 
-    def _knn_merge(self, p: np.ndarray, q: np.ndarray) -> None:
+    def _knn_merge(self, p: np.ndarray, q: np.ndarray, keep: int) -> None:
         """Merge candidates (list row p, point id q) into the lists with one sort.
 
-        Each touched list is copied into one padded row: its K entries, then
-        its candidates, as complex numbers weight + 1j * id.  NumPy orders
+        Each touched list is copied into one padded row of at least K entries:
+        its first `keep` entries, then its candidates, as complex numbers
+        weight + 1j * id.  `keep` is K for a cross block; a self block passes
+        0, as it fills lists that hold only pads (`_visit`).  NumPy orders
         complex values by real part, then imaginary part, so one sort along
         the rows orders every row by (weight, id); ids stay below 2**53,
         exact in the imaginary part.  The K first entries of a row are its
@@ -663,10 +668,10 @@ class _DualTreeEngine:
         group = np.cumsum(heads) - 1
         first = np.flatnonzero(heads)
         prow = p[first]
-        col = _K + np.arange(m) - first[group]
-        rows = self._buf("rows", (len(prow), int(col.max()) + 1), complex)
-        rows[:, :_K] = self.knn[prow]
-        rows[:, _K:] = _PAD
+        col = keep + np.arange(m) - first[group]
+        rows = self._buf("rows", (len(prow), max(_K, int(col.max()) + 1)), complex)
+        rows[:, :keep] = self.knn[prow, :keep]
+        rows[:, keep:] = _PAD
         rows[group, col] = cand
         rows.sort(axis=1)
         self.knn[prow] = rows[:, :_K]
@@ -731,7 +736,7 @@ def _trim_crowded(wo, owner: np.ndarray, keep: np.ndarray, vals: np.ndarray, err
 
     Owners are the rows of `wo`; hit h, of value vals[h], belongs to owner[h]
     and counts where keep[h] is set.  Only owners with more than K such hits
-    are trimmed, as in `_DualTreeEngine._knn_candidates`.
+    are trimmed: an owner with at most K would lose none of them.
     """
     crowded = np.flatnonzero(np.bincount(owner[keep], minlength=len(wo)) > _K)
     if len(crowded):

@@ -39,6 +39,7 @@ from emstbench.emst import (
     _least_per_group,
     _naive_candidates,
     _NodeState,
+    _PAD,
 )
 from conftest import random_dataset, shuffled_path, star
 
@@ -340,6 +341,76 @@ def tie_heavy_coords(kind, n, rng, d=None):
     return 10.0 ** rng.uniform(1.0, 4.0) + rng.random((n, d or int(rng.choice([2, 3, 8, 15]))))
 
 
+# Oracle properties, run by `TestNeighborLists` at the engine's own base
+# capacity and by `TestOraclesAcrossBaseNodes` at small ones.  They are
+# functions, not methods: hypothesis refuses a @given method that tests of
+# two classes call through different instances.
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(_K + 2, 80),
+    st.integers(1, 3),
+    st.integers(1, 30),
+    st.integers(0, 2**32 - 1),
+)
+def duplicate_heavy_sets_give_the_mst(sites, n, d, leaf, seed):
+    """More copies of a site than a list holds: the tree settles the rest."""
+    rng = np.random.default_rng(seed)
+    ds = Dataset(rng.random((sites, d))[rng.integers(0, sites, n)])
+    kd, ball, kr = mst_keys(ds, leaf)
+    assert kd == ball == kr
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.integers(_K + 2, 90),
+    st.integers(1, 20),
+    st.integers(0, 2**32 - 1),
+)
+def lattice_ties_at_the_last_entry_give_the_mst(d, n, leaf, seed):
+    """Integer lattices: the K-th list entry sits inside a run of equal weights."""
+    rng = np.random.default_rng(seed)
+    side = 5 if d == 2 else 3
+    cells = rng.permutation(side**d)[: min(n, side**d)]
+    coords = np.array(np.unravel_index(cells, (side,) * d), dtype=float).T
+    ds = Dataset(coords)
+    kd, ball, kr = mst_keys(ds, leaf)
+    assert kd == ball == kr
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["lattice", "sites", "offset", "subscale", "underflow"]),
+    st.integers(2, 80),
+    st.integers(1, 20),
+    st.integers(0, 2**32 - 1),
+)
+def lists_equal_brute_force_before_and_after_mutation(backend_cls, kind, n, leaf, seed):
+    """Every list entry, not only the first outside a component, is exact."""
+    rng = np.random.default_rng(seed)
+    ds = Dataset(tie_heavy_coords(kind, n, rng))
+    n = ds.n
+    index = backend_cls(ds, leaf)
+    for step in range(2):
+        find_component_neighbors(index, DisjointSet(n))
+        engine = index._emst_engine
+        live, w, ids = brute_lists(index)
+        np.testing.assert_array_equal(engine.live, live)
+        np.testing.assert_array_equal(engine.knn_w, w)
+        np.testing.assert_array_equal(engine.knn_id, ids)
+        if step or n < 3:
+            break
+        # drop up to half the points, and move some of them onto another's site
+        victims = rng.choice(n, size=int(rng.integers(1, n // 2 + 1)), replace=False)
+        for victim in victims.tolist():
+            index.delete(victim)
+        for victim in victims[: len(victims) // 2].tolist():
+            index.insert(Point(victim, ds.coords[int(rng.integers(n))].copy()))
+
+
 class TestNeighborLists:
     """Rounds answered from the cached k-NN lists, and the tree fallback."""
 
@@ -355,37 +426,11 @@ class TestNeighborLists:
         kd, ball, kr = mst_keys(ds, leaf)
         assert kd == ball == kr
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(1, 4),
-        st.integers(_K + 2, 80),
-        st.integers(1, 3),
-        st.integers(1, 30),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_duplicate_heavy_sets_give_the_mst(self, sites, n, d, leaf, seed):
-        """More copies of a site than a list holds: the tree settles the rest."""
-        rng = np.random.default_rng(seed)
-        ds = Dataset(rng.random((sites, d))[rng.integers(0, sites, n)])
-        kd, ball, kr = mst_keys(ds, leaf)
-        assert kd == ball == kr
+    def test_duplicate_heavy_sets_give_the_mst(self):
+        duplicate_heavy_sets_give_the_mst()
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(2, 3),
-        st.integers(_K + 2, 90),
-        st.integers(1, 20),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_lattice_ties_at_the_last_entry_give_the_mst(self, d, n, leaf, seed):
-        """Integer lattices: the K-th list entry sits inside a run of equal weights."""
-        rng = np.random.default_rng(seed)
-        side = 5 if d == 2 else 3
-        cells = rng.permutation(side**d)[: min(n, side**d)]
-        coords = np.array(np.unravel_index(cells, (side,) * d), dtype=float).T
-        ds = Dataset(coords)
-        kd, ball, kr = mst_keys(ds, leaf)
-        assert kd == ball == kr
+    def test_lattice_ties_at_the_last_entry_give_the_mst(self):
+        lattice_ties_at_the_last_entry_give_the_mst()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -403,36 +448,8 @@ class TestNeighborLists:
         assert kd == ball == kr
 
     @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.sampled_from(["lattice", "sites", "offset", "subscale", "underflow"]),
-        st.integers(2, 80),
-        st.integers(1, 20),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_lists_equal_brute_force_before_and_after_mutation(
-        self, backend_cls, kind, n, leaf, seed
-    ):
-        """Every list entry, not only the first outside a component, is exact."""
-        rng = np.random.default_rng(seed)
-        ds = Dataset(tie_heavy_coords(kind, n, rng))
-        n = ds.n
-        index = backend_cls(ds, leaf)
-        for step in range(2):
-            find_component_neighbors(index, DisjointSet(n))
-            engine = index._emst_engine
-            live, w, ids = brute_lists(index)
-            np.testing.assert_array_equal(engine.live, live)
-            np.testing.assert_array_equal(engine.knn_w, w)
-            np.testing.assert_array_equal(engine.knn_id, ids)
-            if step or n < 3:
-                break
-            # drop up to half the points, and move some of them onto another's site
-            victims = rng.choice(n, size=int(rng.integers(1, n // 2 + 1)), replace=False)
-            for victim in victims.tolist():
-                index.delete(victim)
-            for victim in victims[: len(victims) // 2].tolist():
-                index.insert(Point(victim, ds.coords[int(rng.integers(n))].copy()))
+    def test_lists_equal_brute_force_before_and_after_mutation(self, backend_cls):
+        lists_equal_brute_force_before_and_after_mutation(backend_cls)
 
     @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
     def test_tie_between_last_entry_and_bound_goes_to_the_tree(self, backend_cls):
@@ -657,6 +674,62 @@ class TestNeighborLists:
         counts = [index._emst_engine.fallback_components for _ in boruvka_rounds(index, ds.n)]
         assert counts[0] == 0 and sum(counts[1:]) > 0
 
+    @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+    @pytest.mark.parametrize("base_cap", [None, 24])
+    @pytest.mark.parametrize("kind", ["uniform", "lattice", "sites", "one-point"])
+    def test_self_blocks_meet_only_empty_lists(self, backend_cls, base_cap, kind, monkeypatch):
+        """A self block is its rows' first base case, so it fills empty lists.
+
+        The traversal finishes both children's self pairs before their cross
+        pair.  A base node of one point is one component: its self pair is
+        pruned, and its first block is a cross block, whose merge keeps the
+        lists' entries.
+        """
+        rng = np.random.default_rng(5)
+        if kind == "one-point":
+            index = one_point_base_node_index(backend_cls, 300, rng)
+        else:
+            if kind == "uniform":
+                coords = rng.random((600, 3))
+            elif kind == "sites":
+                coords = rng.random((20, 3))[rng.integers(0, 20, 600)]
+            else:
+                coords = tie_heavy_coords(kind, 0, rng)
+            index = backend_cls(Dataset(coords), 20)
+        if base_cap is not None:
+            monkeypatch.setattr(emst_module, "_base_capacity", lambda d: base_cap)
+        blocks = []
+        base_case = _DualTreeEngine._knn_base_case
+
+        def spy(engine, qs, rs):
+            blocks.append((qs, rs, (engine.knn[qs.roots] == _PAD).all()))
+            base_case(engine, qs, rs)
+
+        monkeypatch.setattr(_DualTreeEngine, "_knn_base_case", spy)
+        find_component_neighbors(index, DisjointSet(max(index.live_ids()) + 1))
+        assert all(empty for qs, rs, empty in blocks if qs is rs)
+        assert any(qs is not rs for qs, rs, _ in blocks)
+        if kind == "one-point":
+            lone = [s for s in index._emst_engine.nodes if s.base and len(s.ids) == 1]
+            assert len(lone) == 1
+            first = next((qs, rs) for qs, rs, _ in blocks if lone[0] in (qs, rs))
+            assert first[0] is not first[1]
+
+
+def one_point_base_node_index(backend_cls, extra, rng):
+    """A 3-D index with a base node of one point beside `extra` + 2 others.
+
+    Points at 0, 1, 10 and 11 on every axis make two leaves of two.  The
+    first leaf loses a point, and `extra` points inserted beyond 10 on every
+    axis all descend into the second, so the first stays a leaf of one under
+    a root above any base capacity up to `extra`.
+    """
+    index = backend_cls(Dataset(np.repeat([[0.0], [1.0], [10.0], [11.0]], 3, axis=1)), 2)
+    index.delete(1)
+    for i, c in enumerate(10.5 + 10.0 * rng.random((extra, 3)), start=4):
+        index.insert(Point(i, c))
+    return index
+
 
 @settings(max_examples=200, deadline=None)
 @given(
@@ -741,6 +814,32 @@ def test_cross_block_selection_equals_two_passes(rows, cols, err, seed):
             np.testing.assert_array_equal(g, x)
 
 
+class TestOraclesAcrossBaseNodes:
+    """Oracle tests from above with base nodes of 8 and 48 points.
+
+    At the engine's own base capacity their sets fit one or two base nodes;
+    small ones bring cross blocks, node pruning and the self-block fill
+    under `kruskal_mst`, `naive_boruvka` and brute-force lists.
+    """
+
+    @pytest.fixture(autouse=True, params=[8, 48])
+    def base_cap(self, request, monkeypatch):
+        monkeypatch.setattr(emst_module, "_base_capacity", lambda d: request.param)
+
+    def test_all_four_algorithms_agree(self, rng):
+        TestOracleAgreement().test_all_four_algorithms_agree(rng)
+
+    @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+    def test_lists_equal_brute_force_before_and_after_mutation(self, backend_cls):
+        lists_equal_brute_force_before_and_after_mutation(backend_cls)
+
+    def test_duplicate_heavy_sets_give_the_mst(self):
+        duplicate_heavy_sets_give_the_mst()
+
+    def test_lattice_ties_at_the_last_entry_give_the_mst(self):
+        lattice_ties_at_the_last_entry_give_the_mst()
+
+
 @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 15, 50])
 @pytest.mark.parametrize("kind", ["uniform", "offset", "subscale", "underflow"])
@@ -765,8 +864,15 @@ def test_block_values_lie_within_their_window(backend_cls, d, kind, base_cap, se
     for a in bases:
         for b in bases:
             w, err = engine._block(a, b)
-            exact = cross_sq_dists(engine.coords[a.ids], engine.coords[b.ids])
-            assert (np.abs(w - np.ldexp(exact, -2 * engine.exp)) <= err).all()
+            exact = np.ldexp(cross_sq_dists(engine.coords[a.ids], engine.coords[b.ids]), -2 * engine.exp)
+            dev = np.abs(w - exact)
+            worst = np.unravel_index(np.argmax(dev), dev.shape)  # a NaN counts as the worst
+            fast, want, off = (float(x[worst]) for x in (w, exact, dev))
+            assert off <= err, (
+                f"block of base nodes of {len(a.ids)} and {len(b.ids)} points: fast value "
+                f"{fast!r}, exact {want!r}, deviation {off!r} outside the window {err!r} "
+                f"(exp {engine.exp})"
+            )
 
 
 @pytest.mark.parametrize("rows, inner", [(64, 17), (1024, 52)])
