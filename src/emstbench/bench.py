@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import DISTRIBUTIONS, Point, draw_coords, generate_synthetic
 from .emst import BACKENDS, dual_tree_boruvka
+from .index import DEFAULT_LEAF_CAPACITY
 
 __all__ = [
     "OPERATIONS",
@@ -40,7 +41,6 @@ _RECORD_COLUMNS = ("backend", "operation", "n", "d", "elapsed_ms", "trials", "se
 _RATIO_COLUMNS = ("operation", "n", "d", "ball_over_kd")
 CSV_HEADER = ",".join(_RECORD_COLUMNS)
 RATIO_HEADER = ",".join(_RATIO_COLUMNS)
-_LEAF_CAPACITY = 20  # shared by both backends so cells compare structures, not tuning
 
 
 @dataclass
@@ -207,8 +207,9 @@ def run_suite(cfg: BenchConfig) -> BenchmarkReport:
 def _run_cell(operation, backend, ds, insert_coords, delete_ids, query_coords, cfg) -> list[float]:
     tree_cls = BACKENDS[backend]
 
+    # one leaf capacity for both backends, so cells compare structures, not tuning
     def fresh_tree():
-        return tree_cls(ds, _LEAF_CAPACITY)
+        return tree_cls(ds, DEFAULT_LEAF_CAPACITY)
 
     if operation == "build":
         return _time_cell(lambda _: fresh_tree(), cfg.trials)
@@ -240,7 +241,9 @@ def _run_cell(operation, backend, ds, insert_coords, delete_ids, query_coords, c
         return _time_cell(run_queries, cfg.trials)
 
     if operation == "emst":
-        return _time_cell(lambda _: dual_tree_boruvka(ds, backend, _LEAF_CAPACITY), cfg.trials)
+        return _time_cell(
+            lambda _: dual_tree_boruvka(ds, backend, DEFAULT_LEAF_CAPACITY), cfg.trials
+        )
 
     raise ValueError(f"unknown operation {operation!r}")
 

@@ -13,6 +13,7 @@ import sys
 from .bench import BenchConfig, emit_report, run_suite
 from .core import DISTRIBUTIONS, fmt17, generate_synthetic, load_dataset, write_dataset
 from .emst import dual_tree_boruvka, kruskal_mst, naive_boruvka, write_edges
+from .index import DEFAULT_LEAF_CAPACITY
 from .slink import single_linkage, write_labels
 
 EMST_BACKENDS = ("kd", "ball", "naive", "kruskal")
@@ -43,14 +44,14 @@ def build_parser() -> argparse.ArgumentParser:
     emst = sub.add_parser("emst", help="compute the EMST of a CSV dataset")
     emst.add_argument("--in", dest="infile", required=True)
     emst.add_argument("--backend", choices=EMST_BACKENDS, default="kd")
-    emst.add_argument("--leaf-capacity", type=int, default=20)
+    emst.add_argument("--leaf-capacity", type=int, default=DEFAULT_LEAF_CAPACITY)
     emst.add_argument("--out", help="edge file destination (u,v,weight lines)")
 
     cluster = sub.add_parser("cluster", help="single-linkage clustering via the EMST")
     cluster.add_argument("--in", dest="infile", required=True)
     cluster.add_argument("--k", type=int, required=True)
     cluster.add_argument("--backend", choices=EMST_BACKENDS, default="kd")
-    cluster.add_argument("--leaf-capacity", type=int, default=20)
+    cluster.add_argument("--leaf-capacity", type=int, default=DEFAULT_LEAF_CAPACITY)
     cluster.add_argument("--out", required=True)
 
     bench = sub.add_parser("bench", help="run the timing suite")

@@ -81,7 +81,7 @@ bitwise-canonical, so candidates are re-derived with the canonical kernel
 `core.sq_dists` among everything within a rigorous floating-point error
 window.  Weights stored and compared are therefore always canonical.  Both
 base cases re-derive through `_rederive`, the engine's one way: `sq_dists`
-on gathers, a chunk at a time, into buffers of the traversal.
+on `np.take` gathers, a chunk at a time.
 
 The block kernel is the only one, and serves data in any unit.  It centres
 the coordinates on the midpoint m of the live bounding box, so its window
@@ -138,7 +138,7 @@ import numpy as np
 
 from .balltree import BallTree
 from .core import Dataset, Edge, EdgeList, check_sq_range, cross_sq_dists, fmt17, sq_dists
-from .index import _PRUNE_EPS
+from .index import DEFAULT_LEAF_CAPACITY, _PRUNE_EPS
 from .kdtree import KdTree
 
 __all__ = [
@@ -163,7 +163,7 @@ _THRESH_CAP = 8.0
 _MIN_EXP = -460
 _CENTRING_ERR = 2.0 ** -50
 _PAD = complex(np.inf, -1)  # k-NN list pad: weight inf, id -1
-_GATHER_ELEMS = 1 << 14  # coordinates per re-derivation gather buffer
+_GATHER_ELEMS = 1 << 14  # coordinates per re-derivation gather
 
 
 class DisjointSet:
@@ -345,8 +345,6 @@ class _DualTreeEngine:
         # canonical squared weight + 1j * id, ascending by (weight, id);
         # `_PAD` pads short lists
         self.knn = None
-        # named scratch buffers of the traversal under way (`_buf`)
-        self._bufs = {}
         # canonical weights the k-NN list pass computed
         self.knn_rederived = 0
         # components the last round sent to the tree traversal
@@ -553,32 +551,16 @@ class _DualTreeEngine:
             )
             for d, i in scored:
                 stack.append((d, *pairs[i]))
-        self._bufs = {}
-
-    def _buf(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        """Scratch buffer `name` of the traversal under way, grown as needed.
-
-        Every base case overwrites what the last one left, and the buffers
-        are dropped when the traversal ends.  Fresh arrays per base case were
-        measured to page-fault on every call once they near 1 MiB, as the
-        allocator hands such arrays back to the system when freed.
-        """
-        size = math.prod(shape)
-        buf = self._bufs.get(name)
-        if buf is None or len(buf) < size:
-            buf = self._bufs[name] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
 
     def _block(self, qs: _NodeState, rs: _NodeState):
         """Scaled squared-distance block |q|^2 + |r|^2 - 2 q.r and its error bound.
 
         One float32 matrix product of the query copy of `qs` with the
-        reference copy of `rs` (module docstring).  The block lives in a
-        buffer that the next block overwrites (`_buf`).
+        reference copy of `rs` (module docstring), a fresh array that the
+        base case may overwrite.
         """
-        w = self._buf("block", (len(qs.ids), len(rs.ids)), np.float32)
-        np.matmul(qs.query, rs.ref.T, out=w)
-        return w, self.err32 * (qs.max_sqn + rs.max_sqn) + self.err_floor
+        err = self.err32 * (qs.max_sqn + rs.max_sqn) + self.err_floor
+        return np.matmul(qs.query, rs.ref.T), err
 
     def _knn_base_case(self, qs: _NodeState, rs: _NodeState) -> None:
         w, err = self._block(qs, rs)
@@ -659,7 +641,7 @@ class _DualTreeEngine:
         base nodes.
         """
         m = len(p)
-        cand = self._buf("cand", (m,), complex)
+        cand = np.empty(m, complex)
         cand.imag = q
         self._rederive(self.live[p], q, cand.real)
         self.knn_rederived += m
@@ -669,9 +651,8 @@ class _DualTreeEngine:
         first = np.flatnonzero(heads)
         prow = p[first]
         col = keep + np.arange(m) - first[group]
-        rows = self._buf("rows", (len(prow), max(_K, int(col.max()) + 1)), complex)
+        rows = np.full((len(prow), max(_K, int(col.max()) + 1)), _PAD)
         rows[:, :keep] = self.knn[prow, :keep]
-        rows[:, keep:] = _PAD
         rows[group, col] = cand
         rows.sort(axis=1)
         self.knn[prow] = rows[:, :_K]
@@ -684,12 +665,9 @@ class _DualTreeEngine:
         """
         step = max(1, _GATHER_ELEMS // self.d)
         for lo in range(0, len(a), step):
-            hi = min(lo + step, len(a))
-            ga = self._buf("gather_p", (hi - lo, self.d), np.float64)
-            gb = self._buf("gather_q", (hi - lo, self.d), np.float64)
-            np.take(self.coords, a[lo:hi], axis=0, out=ga, mode="clip")
-            np.take(self.coords, b[lo:hi], axis=0, out=gb, mode="clip")
-            out[lo:hi] = sq_dists(ga, gb)
+            ga = np.take(self.coords, a[lo : lo + step], axis=0, mode="clip")
+            gb = np.take(self.coords, b[lo : lo + step], axis=0, mode="clip")
+            out[lo : lo + step] = sq_dists(ga, gb)
 
     def _base_case(self, qs: _NodeState, rs: _NodeState) -> None:
         w, err = self._block(qs, rs)
@@ -869,7 +847,7 @@ def _boruvka_edges(engine: _DualTreeEngine, n: int, lone: np.ndarray | None = No
 def dual_tree_boruvka(
     ds: Dataset,
     backend: str = "kd",
-    leaf_capacity: int = 20,
+    leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
     return_rounds: bool = False,
 ):
     """Exact EMST by Boruvka rounds with dual-tree candidate search.

@@ -54,6 +54,7 @@ __all__ = ["IndexNode", "SpatialIndex"]
 # Relative slack applied before discarding a node during search: rounding in
 # the bound arithmetic must never prune a point that ties the k-th best.
 _PRUNE_EPS = 1e-12
+DEFAULT_LEAF_CAPACITY = 20  # the points a leaf holds before it splits, unless set
 
 
 def _no_parent() -> None:
@@ -128,7 +129,7 @@ class SpatialIndex:
     exclusive access.
     """
 
-    def __init__(self, dataset: Dataset, leaf_capacity: int = 20):
+    def __init__(self, dataset: Dataset, leaf_capacity: int = DEFAULT_LEAF_CAPACITY):
         if leaf_capacity < 1:
             raise ValueError(f"leaf_capacity must be >= 1, got {leaf_capacity}")
         self.leaf_capacity = leaf_capacity

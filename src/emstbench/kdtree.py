@@ -62,8 +62,8 @@ class KdNode(IndexNode):
     """One kd-tree node: a bounding box and, when internal, its split plane.
 
     The box is stored once, as the region snapshot ``(mins, maxs)`` of
-    Python float lists; the `mins` / `maxs` properties read and set it as
-    arrays.
+    Python float lists; the `mins` / `maxs` properties read it as arrays,
+    and `maxs` also sets it.
     """
 
     __slots__ = ("split_dim", "split_value")
@@ -76,10 +76,6 @@ class KdNode(IndexNode):
     @property
     def mins(self) -> np.ndarray:
         return np.array(self.region[0])
-
-    @mins.setter
-    def mins(self, value) -> None:
-        self.region = (np.asarray(value, float).tolist(), self.region[1])
 
     @property
     def maxs(self) -> np.ndarray:

@@ -815,7 +815,7 @@ def test_cross_block_selection_equals_two_passes(rows, cols, err, seed):
 
 
 class TestOraclesAcrossBaseNodes:
-    """Oracle tests from above with base nodes of 8 and 48 points.
+    """Oracle tests of this module with base nodes of 8 and 48 points.
 
     At the engine's own base capacity their sets fit one or two base nodes;
     small ones bring cross blocks, node pruning and the self-block fill
@@ -838,6 +838,10 @@ class TestOraclesAcrossBaseNodes:
 
     def test_lattice_ties_at_the_last_entry_give_the_mst(self):
         lattice_ties_at_the_last_entry_give_the_mst()
+
+    @pytest.mark.parametrize("backend", ["kd", "ball"])
+    def test_routes_agree_and_rounds_match_the_full_set(self, backend):
+        routes_agree_and_rounds_match_the_full_set(backend)
 
 
 @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
@@ -898,33 +902,6 @@ def test_a_blas_that_flushes_subnormals_is_refused(rng, monkeypatch, tmp_path, c
     data.write_text("0,0\n1,0\n5,0\n")
     assert main(["emst", "--in", str(data)]) == 1
     assert capsys.readouterr().err.startswith("error: float32 BLAS flushes subnormals")
-
-
-@pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
-def test_traversal_buffers_die_with_their_traversal(backend_cls, monkeypatch):
-    """Block pair, re-derivation gathers and merge rows are freed when a traversal ends."""
-    made = []
-    buf = _DualTreeEngine._buf
-
-    def spy(self, name, shape, dtype):
-        out = buf(self, name, shape, dtype)
-        made.append((name, weakref.ref(self._bufs[name])))
-        return out
-
-    monkeypatch.setattr(_DualTreeEngine, "_buf", spy)
-    rng = np.random.default_rng(3)
-    ds = Dataset(rng.random((20, 3))[rng.permutation(np.arange(600) % 20)])
-    index = backend_cls(ds, 20)
-    names = []
-    for _ in boruvka_rounds(index, ds.n):
-        engine = index._emst_engine
-        if made or engine.fallback_components:
-            names.append({name for name, _ in made})
-        assert engine._bufs == {}
-        assert all(ref() is None for _, ref in made)
-        made.clear()
-    assert names[0] == {"block", "gather_p", "gather_q", "cand", "rows"}  # list pass
-    assert {"block", "gather_p", "gather_q"} in names[1:]  # a round that fell back to the tree
 
 
 @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
@@ -1066,26 +1043,54 @@ def duplicate_coords(kind, n, rng):
     return rng.integers(0, 2, (2, d)).astype(float)
 
 
+# Run by `TestDuplicateCollapse` at the engine's own base capacity and by
+# `TestOraclesAcrossBaseNodes` at small ones, like the oracle properties above.
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["mixed", "lattice", "signed_zero", "identical", "pair"]),
+    st.integers(2, 120),
+    st.integers(1, 20),
+    st.integers(0, 2**32 - 1),
+)
+def routes_agree_and_rounds_match_the_full_set(backend, kind, n, leaf, seed):
+    rng = np.random.default_rng(seed)
+    ds = Dataset(duplicate_coords(kind, n, rng))
+    got, rounds = dual_tree_boruvka(ds, backend, leaf_capacity=leaf, return_rounds=True)
+    other = dual_tree_boruvka(ds, "ball" if backend == "kd" else "kd", leaf_capacity=leaf)
+    want = kruskal_mst(ds)
+    assert edge_key(got) == edge_key(other) == edge_key(naive_boruvka(ds)) == edge_key(want)
+    assert got.total_weight.hex() == want.total_weight.hex()
+    assert rounds == dsu_route(BACKENDS[backend](ds, leaf), ds.n)[1]
+
+
 class TestDuplicateCollapse:
     """`dual_tree_boruvka` runs on one representative per site, stars for the copies."""
 
     @pytest.mark.parametrize("backend", ["kd", "ball"])
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.sampled_from(["mixed", "lattice", "signed_zero", "identical", "pair"]),
-        st.integers(2, 120),
-        st.integers(1, 20),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_routes_agree_and_rounds_match_the_full_set(self, backend, kind, n, leaf, seed):
-        rng = np.random.default_rng(seed)
-        ds = Dataset(duplicate_coords(kind, n, rng))
-        got, rounds = dual_tree_boruvka(ds, backend, leaf_capacity=leaf, return_rounds=True)
-        other = dual_tree_boruvka(ds, "ball" if backend == "kd" else "kd", leaf_capacity=leaf)
-        want = kruskal_mst(ds)
-        assert edge_key(got) == edge_key(other) == edge_key(naive_boruvka(ds)) == edge_key(want)
-        assert got.total_weight.hex() == want.total_weight.hex()
-        assert rounds == dsu_route(BACKENDS[backend](ds, leaf), ds.n)[1]
+    def test_routes_agree_and_rounds_match_the_full_set(self, backend):
+        routes_agree_and_rounds_match_the_full_set(backend)
+
+    @pytest.mark.parametrize("backend", ["kd", "ball"])
+    @pytest.mark.parametrize("kind", ["mixed", "lattice"])
+    def test_collapsed_sets_over_several_base_nodes_give_the_mst(self, backend, kind, monkeypatch):
+        """Base nodes of 8 points: the collapsed index meets cross blocks under both oracles."""
+        monkeypatch.setattr(emst_module, "_base_capacity", lambda d: 8)
+        cross = 0
+        base_case = _DualTreeEngine._knn_base_case
+
+        def spy(engine, qs, rs):
+            nonlocal cross
+            cross += qs is not rs
+            base_case(engine, qs, rs)
+
+        monkeypatch.setattr(_DualTreeEngine, "_knn_base_case", spy)
+        for seed in range(10):
+            ds = Dataset(duplicate_coords(kind, 120, np.random.default_rng(seed)))
+            got = dual_tree_boruvka(ds, backend, leaf_capacity=8)
+            for want in (kruskal_mst(ds), naive_boruvka(ds)):
+                assert edge_key(got) == edge_key(want)
+                assert got.total_weight.hex() == want.total_weight.hex()
+        assert cross > 0
 
     @pytest.mark.parametrize("backend", ["kd", "ball"])
     def test_distinct_sites_at_weight_zero_use_the_full_set(self, backend):
