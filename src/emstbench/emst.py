@@ -53,8 +53,9 @@ distinct base nodes finds the entries either side may take in one pass over
 its block, then splits, trims and orders them by side from those hits alone,
 and merges them with the lists.  A self block, which pairs a base node with
 itself, is its rows' first base case, since the traversal finishes both
-children's self pairs before their cross pair: its lists hold only pads, so
-it trims every row and fills the lists from its candidates alone.
+children's self pairs before their cross pair and never fuses a self pair:
+its lists hold only pads, so it trims every row and fills the lists from its
+candidates alone.
 
 The traversal prunes a node pair when both sides sit inside one component,
 or when the region-to-region lower bound exceeds both sides' node bounds.
@@ -62,12 +63,12 @@ Settled components carry a bound of -inf, so a pair that holds no unsettled
 component is pruned even at distance 0.  A base node's bound is the largest
 current bound of the components (in the list pass: the points) it holds, an
 internal node's the larger of its children's.  Each traversal sets them
-bottom-up, and every base case lowers its two base nodes' bounds and then
-their ancestors'.  A component's bound only falls, so a node bound left
-stale, as when a base case elsewhere lowers a component that this node also
-holds, is still an upper bound and every prune it allows is sound.  In the
-list pass each point lies in one base node, whose base cases alone change
-its list, so no bound is stale there.
+bottom-up, and every base case lowers the bounds of the base nodes it
+covers and then their ancestors'.  A component's bound only falls, so a node
+bound left stale, as when a base case elsewhere lowers a component that this
+node also holds, is still an upper bound and every prune it allows is sound.
+In the list pass each point lies in one base node, and only base cases that
+cover that node change its list, so no bound is stale there.
 
 Both base cases admit a point's block entries by one limit rule: the bound
 of its component (in the list pass: its K-th weight) in block units, plus
@@ -82,6 +83,19 @@ bitwise-canonical, so candidates are re-derived with the canonical kernel
 window.  Weights stored and compared are therefore always canonical.  Both
 base cases re-derive through `_rederive`, the engine's one way: `sq_dists`
 on `np.take` gathers, a chunk at a time.
+
+A base case has a fixed cost in small numpy calls that can far exceed its
+kernel's, so the traversal fuses sibling base nodes.  A base parent is an
+internal node whose two children are non-empty base nodes; made one after
+the other, their rows adjoin, so a base parent's ids, block copies and
+points' roots are one row slice of the engine's arrays, no copy.  When the
+traversal pops a cross pair whose sides are base nodes or base parents, at
+least one a base parent, and none of the 2 or 4 child pairs it would push
+is pruned, it runs one base case over the whole pair and then lowers the
+bounds of every base node the pair covers.  The fused block's entries are
+exactly the union of its child blocks', so it evaluates no pair the
+traversal would have skipped; it admits entries by the bounds before its
+child blocks would have lowered them, which only admits more.
 
 The block kernel is the only one, and serves data in any unit.  It centres
 the coordinates on the midpoint m of the live bounding box, so its window
@@ -260,8 +274,11 @@ def _base_capacity(d: int) -> int:
 class _NodeState:
     """Per-node traversal state: static geometry caches plus per-round marks.
 
-    Every node is marked with `comp` and `bound`; base nodes also keep their
-    points' `roots`.
+    Every node is marked with `comp` and `bound`.  Base nodes and base parents,
+    internal nodes whose two children are non-empty base nodes, hold blocks:
+    `rows` is their slice of the engine's base-node order, and their `ids`,
+    block copies and points' `roots` are that row slice of engine-wide arrays.
+    A base parent's rows are its left child's, then its right child's.
     """
 
     __slots__ = (
@@ -270,6 +287,7 @@ class _NodeState:
         "right",
         "parent",
         "n_live",
+        "rows",
         "ids",
         "query",
         "ref",
@@ -288,6 +306,7 @@ class _NodeState:
         # index, not a reference, keeps the states free of reference cycles
         self.parent = parent
         self.n_live = node.n_live
+        self.rows = None
         self.ids = None
         # float32 block-kernel copies of the points x, centred and scaled by
         # the engine's 2**-e, with their squared norms |x|^2 (module
@@ -332,32 +351,41 @@ class _DualTreeEngine:
         # parents before children: reversed, the list runs bottom-up
         self.nodes = self._snapshot(tree.root, base_cap)
         self.root = self.nodes[0]
-        bases = [s for s in self.nodes if s.base]
-        live = [s.ids for s in bases]
-        order = np.concatenate(live) if live else np.empty(0, dtype=np.intp)
+        live = [s.ids for s in self.nodes if s.base]
+        # base node by base node, so each base node's and base parent's rows
+        # are one slice of it and of every array in its order
+        self.order = order = np.concatenate(live) if live else np.empty(0, dtype=np.intp)
+        self.holders = [s for s in self.nodes if s.rows is not None]
+        for state in self.holders:
+            state.ids = order[state.rows]
         self.live = np.sort(order)
         self.max_id = int(self.live[-1]) if len(self.live) else -1
-        # base node by base node, so each node's rows are one slice
         live_coords = self.coords[order]
         check_sq_range(live_coords)
-        self._fill_fast(bases, live_coords)
+        self._fill_fast(live_coords)
         # row r holds live point live[r]: its `_K` nearest other points as
         # canonical squared weight + 1j * id, ascending by (weight, id);
         # `_PAD` pads short lists
         self.knn = None
-        # canonical weights the k-NN list pass computed
+        # canonical weights the k-NN list pass computed, and its base cases
+        # (a fused block counts once)
         self.knn_rederived = 0
+        self.knn_base_cases = 0
         # components the last round sent to the tree traversal
         self.fallback_components = 0
 
     def _snapshot(self, root, base_cap: int) -> list[_NodeState]:
         nodes: list[_NodeState] = []
+        end = 0  # rows the base nodes made so far take in the engine's order
 
         def make(node, parent: int) -> _NodeState:
+            nonlocal end
             base = node.is_leaf or node.n_live <= base_cap
             state = _NodeState(node, base, parent)
             if base:
                 state.ids = np.sort(np.array(node.collect_live_ids(), dtype=np.intp))
+                state.rows = slice(end, end + len(state.ids))
+                end = state.rows.stop
             else:
                 stack.append((len(nodes), node))
             nodes.append(state)
@@ -367,12 +395,15 @@ class _DualTreeEngine:
         make(root, -1)
         while stack:
             i, node = stack.pop()
-            nodes[i].left = make(node.left, i)
-            nodes[i].right = make(node.right, i)
+            ls = nodes[i].left = make(node.left, i)
+            rs = nodes[i].right = make(node.right, i)
+            if ls.base and rs.base and len(ls.ids) and len(rs.ids):
+                # a base parent: made one after the other, its children's rows adjoin
+                nodes[i].rows = slice(ls.rows.start, rs.rows.stop)
         return nodes
 
-    def _fill_fast(self, bases: list, live_coords: np.ndarray) -> None:
-        """Block-kernel copies of every base node, centred and scaled by 2**-exp.
+    def _fill_fast(self, live_coords: np.ndarray) -> None:
+        """Block-kernel copies of every block holder, centred and scaled by 2**-exp.
 
         `live_coords` holds the base nodes' points in order; it is overwritten.
         """
@@ -392,13 +423,10 @@ class _DualTreeEngine:
         # doubled after rounding: doubling is exact in float32
         np.multiply(ref[:, :-2], -2.0, out=query[:, :-2])
         query[:, -2], query[:, -1] = 1.0, ref[:, -2]
-        start = 0
-        for state in bases:
-            stop = start + len(state.ids)
-            if stop > start:  # empty nodes are never visited: the traversal skips them
-                state.ref, state.query = ref[start:stop], query[start:stop]
-                state.max_sqn = float(sqn[start:stop].max())
-            start = stop
+        for state in self.holders:
+            if len(state.ids):  # empty nodes are never visited: the traversal skips them
+                state.ref, state.query = ref[state.rows], query[state.rows]
+                state.max_sqn = float(sqn[state.rows].max())
 
     @property
     def knn_w(self) -> np.ndarray:
@@ -481,29 +509,34 @@ class _DualTreeEngine:
         """Mark every node's component and bound for the current partition.
 
         A base node's bound is the largest bound of its points' components,
-        an internal node's the larger of its children's.
+        an internal node's the larger of its children's.  Every block holder
+        takes its `roots` as a slice of one array in the base-node order.
         """
         bound = self.bound
+        roots_rows = roots_all[self.order]
+        for state in self.holders:
+            state.roots = roots_rows[state.rows]
         for state in reversed(self.nodes):
             if not state.base:
                 ls, rs = state.left, state.right
                 state.comp = ls.comp if ls.comp >= 0 and ls.comp == rs.comp else -1
                 state.bound = max(ls.bound, rs.bound)
             elif len(state.ids):
-                roots = state.roots = roots_all[state.ids]
+                roots = state.roots
                 state.comp = int(roots[0]) if (roots == roots[0]).all() else -1
                 state.bound = float(bound[roots].max())
 
-    def _lower(self, state: _NodeState) -> None:
-        """Refresh a base node's bound after a base case, and its ancestors'."""
+    def _lower(self, holder: _NodeState) -> None:
+        """Refresh the bounds of a block's base nodes after a base case, and their ancestors'."""
         nodes = self.nodes
-        new = float(self.bound[state.roots].max())
-        while new < state.bound:
-            state.bound = new
-            if state.parent < 0:
-                break
-            state = nodes[state.parent]
-            new = max(state.left.bound, state.right.bound)
+        for state in (holder,) if holder.base else (holder.left, holder.right):
+            new = float(self.bound[state.roots].max())
+            while new < state.bound:
+                state.bound = new
+                if state.parent < 0:
+                    break
+                state = nodes[state.parent]
+                new = max(state.left.bound, state.right.bound)
 
     def _visit(self, a: _NodeState, b: _NodeState, dmin: float, base_case) -> None:
         # depth-first over node pairs, nearest child pair descended first;
@@ -513,44 +546,41 @@ class _DualTreeEngine:
         stack = [(dmin, a, b)]
         while stack:
             dmin, a, b = stack.pop()
-            if a.n_live == 0 or b.n_live == 0:
+            if _pruned(dmin, a, b):
                 continue
-            acomp = a.comp
-            if acomp >= 0 and acomp == b.comp:
-                continue
-            limit = dmin * _PRUNE_FACTOR
-            if limit > a.bound and limit > b.bound:
-                continue
-            if a.base:
-                if b.base:
-                    base_case(a, b)
-                    self._lower(a)
-                    if b is not a:
-                        self._lower(b)
+            if not (a.base and b.base):
+                if a is b:
+                    # self pairs are popped first and never fused, so a base
+                    # node's self block is its rows' first base case:
+                    # `_knn_base_case` fills empty lists
+                    left, right = a.left, a.right
+                    stack.append((min_sq(left.region, right.region), left, right))
+                    stack.append((0.0, right, right))
+                    stack.append((0.0, left, left))
                     continue
-                pairs = ((a, b.left), (a, b.right))
-            elif b.base:
-                pairs = ((a.left, b), (a.right, b))
-            elif a is b:
-                # self pairs are popped first, so a base node's self block is
-                # its rows' first base case: `_knn_base_case` fills empty lists
-                left, right = a.left, a.right
-                stack.append((min_sq(left.region, right.region), left, right))
-                stack.append((0.0, right, right))
-                stack.append((0.0, left, left))
-                continue
-            else:
-                pairs = (
-                    (a.left, b.left),
-                    (a.left, b.right),
-                    (a.right, b.left),
-                    (a.right, b.right),
-                )
-            scored = sorted(
-                ((min_sq(x.region, y.region), i) for i, (x, y) in enumerate(pairs)), reverse=True
-            )
-            for d, i in scored:
-                stack.append((d, *pairs[i]))
+                if a.base:
+                    pairs = ((a, b.left), (a, b.right))
+                elif b.base:
+                    pairs = ((a.left, b), (a.right, b))
+                else:
+                    pairs = (
+                        (a.left, b.left),
+                        (a.left, b.right),
+                        (a.right, b.left),
+                        (a.right, b.right),
+                    )
+                scored = [(min_sq(x.region, y.region), i) for i, (x, y) in enumerate(pairs)]
+                # unless both sides hold blocks and no child pair would be
+                # pruned: then fall through to one fused base case, whose
+                # block is exactly the union of the child blocks
+                if a.query is None or b.query is None or any(_pruned(d, *pairs[i]) for d, i in scored):
+                    for d, i in sorted(scored, reverse=True):
+                        stack.append((d, *pairs[i]))
+                    continue
+            base_case(a, b)
+            self._lower(a)
+            if b is not a:
+                self._lower(b)
 
     def _block(self, qs: _NodeState, rs: _NodeState):
         """Scaled squared-distance block |q|^2 + |r|^2 - 2 q.r and its error bound.
@@ -563,6 +593,7 @@ class _DualTreeEngine:
         return np.matmul(qs.query, rs.ref.T), err
 
     def _knn_base_case(self, qs: _NodeState, rs: _NodeState) -> None:
+        self.knn_base_cases += 1
         w, err = self._block(qs, rs)
         if qs is rs:
             np.fill_diagonal(w, np.inf)
@@ -636,9 +667,9 @@ class _DualTreeEngine:
         merged list.  The canonical weights are re-derived by `_rederive`.
 
         Each row's candidates must lie contiguously in `p`, as
-        `_knn_base_case` hands them over: one ascending run of rows for a
-        self block, else two ascending runs over the disjoint rows of its two
-        base nodes.
+        `_knn_base_case` hands them over: row by row in each side's order,
+        and for a cross block the rows of one side, then the other's, which
+        are disjoint.
         """
         m = len(p)
         cand = np.empty(m, complex)
@@ -685,12 +716,18 @@ class _DualTreeEngine:
         # every pair whose canonical weight could win sits within 2*err of
         # its row's block optimum; re-derive those with the exact kernel
         near = w[rows] <= (best_w[rows] + 2.0 * err)[:, None]
-        ri, cols = np.nonzero(near)
-        qi = rows[ri]
-        qid, rid = qs.ids[qi], rs.ids[cols]
-        sq = np.empty(len(qid))
-        self._rederive(qid, rid, sq)
-        self._offer(qs.roots[qi], qid, rid, sq)
+        # a chunk of rows at a time, of about `_GATHER_ELEMS` pairs: a fused
+        # block's per-pair arrays were measured to set the peak memory of
+        # fallback rounds on heavy duplicates
+        chunk = np.count_nonzero(near, axis=1).cumsum() // _GATHER_ELEMS
+        cuts = (np.flatnonzero(np.diff(chunk)) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+            ri, cols = np.nonzero(near[lo:hi])
+            qi = rows[lo + ri]
+            qid, rid = qs.ids[qi], rs.ids[cols]
+            sq = np.empty(len(qid))
+            self._rederive(qid, rid, sq)
+            self._offer(qs.roots[qi], qid, rid, sq)
 
     def _offer(self, comp: np.ndarray, p: np.ndarray, q: np.ndarray, w: np.ndarray) -> None:
         """Offer pairs (p, q) of canonical squared weight w to components `comp`.
@@ -707,6 +744,18 @@ class _DualTreeEngine:
         self.cand_sq[c] = nw[better]
         self.cand_u[c] = nu[better]
         self.cand_v[c] = nv[better]
+
+
+def _pruned(dmin: float, a: _NodeState, b: _NodeState) -> bool:
+    """The traversal's test of a node pair at region distance `dmin`.
+
+    A pair is pruned when a side is empty, when both sides sit inside one
+    component, or when the bound exceeds both sides' node bounds.
+    """
+    if a.n_live == 0 or b.n_live == 0 or (a.comp >= 0 and a.comp == b.comp):
+        return True
+    limit = dmin * _PRUNE_FACTOR
+    return limit > a.bound and limit > b.bound
 
 
 def _trim_crowded(wo, owner: np.ndarray, keep: np.ndarray, vals: np.ndarray, err: float) -> None:

@@ -572,11 +572,11 @@ class TestNeighborLists:
     @pytest.mark.parametrize(
         "backend_cls, count, d",
         [
-            pytest.param(KdTree, 40436, 3, id="KdTree-40436"),
-            pytest.param(BallTree, 42495, 3, id="BallTree-42495"),
+            pytest.param(KdTree, 40500, 3, id="KdTree-d3"),
+            pytest.param(BallTree, 42526, 3, id="BallTree-d3"),
             # at d=15 kd checks bounds that never prune, so this pins the node bounds
-            pytest.param(KdTree, 56157, 15, id="KdTree-d15-56157"),
-            pytest.param(BallTree, 63020, 15, id="BallTree-d15-63020"),
+            pytest.param(KdTree, 56859, 15, id="KdTree-d15"),
+            pytest.param(BallTree, 63775, 15, id="BallTree-d15"),
         ],
     )
     def test_list_pass_rederivations_are_pinned(self, backend_cls, count, d):
@@ -877,6 +877,121 @@ def test_block_values_lie_within_their_window(backend_cls, d, kind, base_cap, se
                 f"{fast!r}, exact {want!r}, deviation {off!r} outside the window {err!r} "
                 f"(exp {engine.exp})"
             )
+
+
+def fused_coords(kind, monkeypatch):
+    """2000 points on 100 sites at d=3, at the engine's base capacity, or 8
+    gaussian blobs of 60 points at sigma = 1e-4 in base nodes of at most 24.
+
+    Both reach fused blocks in the list pass and in fallback rounds, and
+    components of duplicates or of a blob that the lists cannot settle.
+    """
+    rng = np.random.default_rng(0)
+    if kind == "sites":
+        return rng.random((100, 3))[rng.integers(0, 100, 2000)]
+    monkeypatch.setattr(emst_module, "_base_capacity", lambda d: 24)
+    centres = rng.random((8, 3))
+    return (centres[:, None, :] + 1e-4 * rng.standard_normal((8, 60, 3))).reshape(-1, 3)
+
+
+class TestFusedBlocks:
+    """One base case over a cross pair whose child pairs would all be visited.
+
+    Each side is a base node or a base parent, an internal node whose two
+    children are non-empty base nodes, and its rows are one slice of the
+    engine's arrays: the left child's rows, then the right child's.
+    """
+
+    @pytest.fixture
+    def fused(self, monkeypatch):
+        """Spy on both base cases: record each fused block's two sides and its rows' lists."""
+        blocks = {"list": [], "fallback": []}
+        knn_base_case, base_case = _DualTreeEngine._knn_base_case, _DualTreeEngine._base_case
+
+        def list_spy(engine, qs, rs):
+            if not (qs.base and rs.base):
+                rows = np.concatenate((qs.roots, rs.roots))
+                blocks["list"].append((qs, rs, engine.knn[rows].copy()))
+            knn_base_case(engine, qs, rs)
+
+        def fallback_spy(engine, qs, rs):
+            if not (qs.base and rs.base):
+                blocks["fallback"].append((qs, rs))
+            base_case(engine, qs, rs)
+
+        monkeypatch.setattr(_DualTreeEngine, "_knn_base_case", list_spy)
+        monkeypatch.setattr(_DualTreeEngine, "_base_case", fallback_spy)
+        return blocks
+
+    @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+    @pytest.mark.parametrize("d", [3, 15])
+    @pytest.mark.parametrize("kind", ["uniform", "subscale"])
+    @pytest.mark.parametrize("base_cap", [24, 96])
+    def test_every_holder_pair_lies_within_its_window(self, backend_cls, d, kind, base_cap, monkeypatch):
+        """`test_block_values_lie_within_their_window` over base parents too.
+
+        A base parent's ids, block copies and largest norm line up with its
+        children's, or its blocks leave their windows.
+        """
+        rng = np.random.default_rng(base_cap + d)
+        coords = rng.random((300, d)) if kind == "uniform" else tie_heavy_coords(kind, 300, rng, d)
+        monkeypatch.setattr(emst_module, "_base_capacity", lambda d: base_cap)
+        engine = _DualTreeEngine(backend_cls(Dataset(coords), 20))
+        holders = [s for s in engine.nodes if s.query is not None]
+        parents = [s for s in holders if not s.base]
+        assert parents
+        for s in parents:
+            np.testing.assert_array_equal(s.ids, np.concatenate((s.left.ids, s.right.ids)))
+            assert s.max_sqn == max(s.left.max_sqn, s.right.max_sqn)
+        exact = np.ldexp(cross_sq_dists(engine.coords, engine.coords), -2 * engine.exp)
+        for a in holders:
+            for b in holders:
+                w, err = engine._block(a, b)
+                off = np.abs(w - exact[np.ix_(a.ids, b.ids)]).max()
+                assert off <= err, f"blocks of {len(a.ids)} and {len(b.ids)} points: {off!r} > {err!r}"
+
+    @pytest.mark.parametrize("kind", ["sites", "blobs"])
+    def test_fused_blocks_give_exact_lists_and_msts(self, kind, fused, monkeypatch):
+        ds = Dataset(fused_coords(kind, monkeypatch))
+        want = {(e.u, e.v, e.weight) for e in kruskal_mst(ds).edges}
+        for backend_cls in (KdTree, BallTree):
+            fused["list"].clear()
+            fused["fallback"].clear()
+            index = backend_cls(ds, 20)
+            got = set()
+            for dsu, candidates in boruvka_rounds(index, ds.n):
+                if not got:
+                    _, w, ids = brute_lists(index)
+                    np.testing.assert_array_equal(index._emst_engine.knn_w, w)
+                    np.testing.assert_array_equal(index._emst_engine.knn_id, ids)
+                # every candidate is an MST edge, and every MST edge is one
+                got |= {(e.u, e.v, e.weight) for e in candidates.values()}
+            assert fused["list"] and fused["fallback"], backend_cls.__name__
+            assert got == want, backend_cls.__name__
+
+    @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+    @pytest.mark.parametrize("kind", ["sites", "blobs"])
+    def test_a_fused_block_is_never_a_rows_first_base_case(self, backend_cls, kind, fused, monkeypatch):
+        """Self pairs are never fused: a fused block meets lists that hold entries.
+
+        Each side's rows have had their self block, or their base parent's
+        cross block, so no row it touches still holds only pads.  (A base
+        node of one point has no self block; none occurs here.)
+        """
+        index = backend_cls(Dataset(fused_coords(kind, monkeypatch)), 20)
+        find_component_neighbors(index, DisjointSet(index.coords.shape[0]))
+        assert fused["list"]
+        for _, _, lists in fused["list"]:
+            assert not (lists == _PAD).all(axis=1).any()
+
+    @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+    def test_list_pass_base_cases_repeat_for_a_fixed_seed(self, backend_cls):
+        counts = []
+        for _ in range(2):
+            index = backend_cls(generate_synthetic(2000, 3, "uniform", 5), 20)
+            find_component_neighbors(index, DisjointSet(2000))
+            counts.append(index._emst_engine.knn_base_cases)
+        assert counts[0] > 0 and counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("rows, inner", [(64, 17), (1024, 52)])
