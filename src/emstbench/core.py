@@ -254,7 +254,8 @@ def load_dataset(path, format: str = "csv") -> Dataset:
     """
     if format != "csv":
         raise ValueError(f"unsupported format {format!r}")
-    with open(path, "r", encoding="utf-8") as fh:
+    # "utf-8-sig" drops a byte-order mark, which would make row 1 a header
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().split("\n")
 
     rows: list[list[float]] = []

@@ -70,11 +70,13 @@ node also holds, is still an upper bound and every prune it allows is sound.
 In the list pass each point lies in one base node, and only base cases that
 cover that node change its list, so no bound is stale there.
 
-Both base cases admit a point's block entries by one limit rule: the bound
-of its component (in the list pass: its K-th weight) in block units, plus
-the block's error window, rounded up to float32 and capped.  Rounding up
-only admits more entries, the cap keeps the masked (infinite) entries out,
-and a settled component's -inf bound admits none.
+Cross blocks and fallback blocks admit a point's block entries by one limit
+rule: the bound of its component (in the list pass: its K-th weight) in block
+units, plus the block's error window, rounded up to float32 and capped.
+Rounding up only admits more entries, the cap keeps the masked (infinite)
+entries out, and a settled component's -inf bound admits none.  A self
+block meets only pads, for which the rule gives the cap, so it admits by
+the trim rule of `_knn_candidates` alone.
 
 Small-enough subtrees become base cases: their cross-distance block is
 computed as one float32 matrix product, which is fast but not
@@ -87,8 +89,8 @@ on `np.take` gathers, a chunk at a time.
 A base case has a fixed cost in small numpy calls that can far exceed its
 kernel's, so the traversal fuses sibling base nodes.  A base parent is an
 internal node whose two children are non-empty base nodes; made one after
-the other, their rows adjoin, so a base parent's ids, block copies and
-points' roots are one row slice of the engine's arrays, no copy.  When the
+the other, their rows adjoin, so a base parent, like a base node, is one row
+range of the engine's arrays: ids, block copies and points' roots.  When the
 traversal pops a cross pair whose sides are base nodes or base parents, at
 least one a base parent, and none of the 2 or 4 child pairs it would push
 is pruned, it runs one base case over the whole pair and then lowers the
@@ -276,9 +278,10 @@ class _NodeState:
 
     Every node is marked with `comp` and `bound`.  Base nodes and base parents,
     internal nodes whose two children are non-empty base nodes, hold blocks:
-    `rows` is their slice of the engine's base-node order, and their `ids`,
-    block copies and points' `roots` are that row slice of engine-wide arrays.
-    A base parent's rows are its left child's, then its right child's.
+    `rows` is their slice of the engine's base-node order (else None), and
+    their `ids`, points' `roots` and block copies are that row slice of
+    engine-wide arrays.  A base parent's rows are its left child's, then its
+    right child's.
     """
 
     __slots__ = (
@@ -289,8 +292,6 @@ class _NodeState:
         "n_live",
         "rows",
         "ids",
-        "query",
-        "ref",
         "max_sqn",
         "region",
         "roots",
@@ -308,13 +309,7 @@ class _NodeState:
         self.n_live = node.n_live
         self.rows = None
         self.ids = None
-        # float32 block-kernel copies of the points x, centred and scaled by
-        # the engine's 2**-e, with their squared norms |x|^2 (module
-        # docstring): [-2x, 1, |x|^2] as the query side of a block, [x, |x|^2,
-        # 1] as its reference side, each a row slice of one engine-wide
-        # array; the largest |x|^2 in float64
-        self.query = None
-        self.ref = None
+        # the largest squared norm of the rows' block-kernel copies, in float64
         self.max_sqn = 0.0
         # the node's plain-Python region snapshot, read by the pair bound
         self.region = node.region
@@ -403,29 +398,28 @@ class _DualTreeEngine:
         return nodes
 
     def _fill_fast(self, live_coords: np.ndarray) -> None:
-        """Block-kernel copies of every block holder, centred and scaled by 2**-exp.
+        """The block kernel's `query` and `ref` copies of the points (module docstring).
 
-        `live_coords` holds the base nodes' points in order; it is overwritten.
+        `live_coords` holds the points in the base-node order, the copies'
+        row order; it is overwritten.  Each holder keeps its rows' `max_sqn`.
         """
-        if not len(live_coords):
-            return
-        lo, hi = live_coords.min(axis=0), live_coords.max(axis=0)
         fast = live_coords
-        fast -= lo + (hi - lo) / 2.0
-        reach = max(float(fast.max()), -float(fast.min()))
-        if reach > 0.0:
-            self.exp = max(math.frexp(reach * math.sqrt(self.d))[1], _MIN_EXP)
+        if len(fast):
+            lo, hi = fast.min(axis=0), fast.max(axis=0)
+            fast -= lo + (hi - lo) / 2.0
+            reach = max(float(fast.max()), -float(fast.min()))
+            if reach > 0.0:
+                self.exp = max(math.frexp(reach * math.sqrt(self.d))[1], _MIN_EXP)
         np.ldexp(fast, -self.exp, out=fast)
         sqn = np.einsum("ij,ij->i", fast, fast)
-        ref = np.empty((len(fast), self.d + 2), dtype=np.float32)
+        self.ref = ref = np.empty((len(fast), self.d + 2), dtype=np.float32)
         ref[:, :-2], ref[:, -2], ref[:, -1] = fast, sqn, 1.0
-        query = np.empty_like(ref)
+        self.query = query = np.empty_like(ref)
         # doubled after rounding: doubling is exact in float32
         np.multiply(ref[:, :-2], -2.0, out=query[:, :-2])
         query[:, -2], query[:, -1] = 1.0, ref[:, -2]
         for state in self.holders:
             if len(state.ids):  # empty nodes are never visited: the traversal skips them
-                state.ref, state.query = ref[state.rows], query[state.rows]
                 state.max_sqn = float(sqn[state.rows].max())
 
     @property
@@ -573,7 +567,7 @@ class _DualTreeEngine:
                 # unless both sides hold blocks and no child pair would be
                 # pruned: then fall through to one fused base case, whose
                 # block is exactly the union of the child blocks
-                if a.query is None or b.query is None or any(_pruned(d, *pairs[i]) for d, i in scored):
+                if a.rows is None or b.rows is None or any(_pruned(d, *pairs[i]) for d, i in scored):
                     for d, i in sorted(scored, reverse=True):
                         stack.append((d, *pairs[i]))
                     continue
@@ -585,19 +579,19 @@ class _DualTreeEngine:
     def _block(self, qs: _NodeState, rs: _NodeState):
         """Scaled squared-distance block |q|^2 + |r|^2 - 2 q.r and its error bound.
 
-        One float32 matrix product of the query copy of `qs` with the
-        reference copy of `rs` (module docstring), a fresh array that the
-        base case may overwrite.
+        One float32 matrix product of the query copies of the rows of `qs`
+        with the reference copies of the rows of `rs` (module docstring), a
+        fresh array that the base case may overwrite.
         """
         err = self.err32 * (qs.max_sqn + rs.max_sqn) + self.err_floor
-        return np.matmul(qs.query, rs.ref.T), err
+        return np.matmul(self.query[qs.rows], self.ref[rs.rows].T), err
 
     def _knn_base_case(self, qs: _NodeState, rs: _NodeState) -> None:
         self.knn_base_cases += 1
         w, err = self._block(qs, rs)
         if qs is rs:
             np.fill_diagonal(w, np.inf)
-            own, other = self._knn_candidates(w, self._limits(qs, err), err)
+            own, other = self._knn_candidates(w, err)
             p, q, keep = qs.roots[own], qs.ids[other], 0
         else:
             (i, j), (jr, ir) = self._knn_cross_candidates(
@@ -616,32 +610,30 @@ class _DualTreeEngine:
         return np.nextafter(limits, np.float32(np.inf))
 
     @staticmethod
-    def _knn_candidates(w, limits, err: float):
+    def _knn_candidates(w, err: float):
         """Entries (row, column) of a self block `w` that may enter the row's list.
 
-        The pairs come row by row, each row's in ascending column order.  An
-        entry can enter a row's list only if its canonical weight is at most
-        the row's current K-th weight and at most the row's K-th smallest
-        canonical weight in this block; within the error window that means a
-        fast value <= min(K-th + err, K-th smallest fast value + 2 err).  With
-        more than K columns every row is trimmed at the latter: a row with
-        at most K hits loses none, as its hits are its smallest values.  The
-        finite limits also exclude the masked (infinite) diagonal.
+        The pairs come row by row, each row's in ascending column order.  A
+        self block meets only empty lists (`_visit`), so an entry can enter a
+        row's list only if its canonical weight is at most the row's K-th
+        smallest in this block: a fast value <= the K-th smallest fast value
+        + 2 err.  With at most K columns every finite entry may enter.
         """
         if w.shape[1] > _K:
-            limits = np.minimum(limits, np.partition(w, _K - 1, axis=1)[:, _K - 1] + 2.0 * err)
-        return np.divmod(np.flatnonzero(w <= limits[:, None]), w.shape[1])
+            hit = w <= (np.partition(w, _K - 1, axis=1)[:, _K - 1] + 2.0 * err)[:, None]
+        else:
+            hit = w < np.inf
+        return np.divmod(np.flatnonzero(hit), w.shape[1])
 
     @staticmethod
     def _knn_cross_candidates(w, lq, lr, err: float):
-        """`_knn_candidates` of a cross block for both sides, in one pass over it.
+        """Entries of a cross block that may enter either side's lists, in one pass.
 
         Returns (row, column) pairs for the row owners, with limits `lq`, and
-        (column, row) pairs for the column owners, with limits `lr`, each in
-        the order `_knn_candidates(w, lq, err)` and `_knn_candidates(w.T, lr,
-        err)` give.  One pass finds the entries either side may take; the
-        rest works on those hits alone, apart from the K-th smallest value of
-        a crowded owner.
+        (column, row) pairs for the column owners, with limits `lr`, owner by
+        owner in ascending order.  An owner takes its entries up to its limit,
+        trimmed by `_trim_crowded`.  One pass finds the entries either side
+        may take; the rest works on those hits alone.
         """
         hits = np.flatnonzero((w <= lq[:, None]) | (w <= lr[None, :]))
         vals = w.ravel()[hits]
@@ -800,14 +792,6 @@ def _least_per_group(group: np.ndarray, w: np.ndarray, u: np.ndarray, v: np.ndar
     return first
 
 
-def _engine_for(index) -> _DualTreeEngine:
-    engine = getattr(index, "_emst_engine", None)
-    if engine is None or engine.token != index._mutations:
-        engine = _DualTreeEngine(index)
-        index._emst_engine = engine
-    return engine
-
-
 def find_component_neighbors(index, dsu: DisjointSet) -> dict[int, Edge]:
     """One Boruvka round: each component's nearest edge into any other component.
 
@@ -815,12 +799,15 @@ def find_component_neighbors(index, dsu: DisjointSet) -> dict[int, Edge]:
     edge under the total order.  The index must cover ids 0..n-1 of the same
     dataset the DisjointSet was built for and must not be mutated mid-round.
     The first call on an index state builds the k-NN lists the rounds are
-    answered from; components the lists cannot settle take a dual-tree pass.
+    answered from and keeps them until a mutation; components the lists
+    cannot settle take a dual-tree pass.
     """
     if dsu.component_count < 2:
         raise ValueError("need at least 2 components to have outgoing edges")
     n = len(dsu.parent)
-    engine = _engine_for(index)
+    engine = getattr(index, "_emst_engine", None)
+    if engine is None or engine.token != index._mutations:
+        engine = index._emst_engine = _DualTreeEngine(index)
     if engine.max_id >= n:
         raise ValueError(
             f"index holds id {engine.max_id} but the disjoint set covers only 0..{n - 1}"
@@ -915,7 +902,7 @@ def dual_tree_boruvka(
     if sites is not None:
         reps, lone, rep_of = sites
         index = BACKENDS[backend](Dataset(ds.coords[reps]), leaf_capacity)
-        u, v, sq, rounds = _boruvka_edges(_engine_for(index), len(reps), lone)
+        u, v, sq, rounds = _boruvka_edges(_DualTreeEngine(index), len(reps), lone)
         if (sq == 0.0).any():
             sites = None  # distinct sites at weight 0: stars are not exact (module docstring)
         else:
@@ -926,7 +913,7 @@ def dual_tree_boruvka(
             sq = np.concatenate((np.zeros(len(stars)), sq))
     if sites is None:
         index = BACKENDS[backend](ds, leaf_capacity)
-        u, v, sq, rounds = _boruvka_edges(_engine_for(index), ds.n)
+        u, v, sq, rounds = _boruvka_edges(_DualTreeEngine(index), ds.n)
     result = EdgeList(u, v, np.sqrt(sq))
     return (result, rounds) if return_rounds else result
 

@@ -50,6 +50,15 @@ class TestEmst:
             outputs[backend] = out.read_text()
         assert len(set(outputs.values())) == 1
 
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path, capsys, rng):
+        text = "\n".join(",".join(repr(float(x)) for x in row) for row in rng.random((40, 3))) + "\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        outputs = [run_cli(capsys, "emst", "--in", str(path)) for path in (plain, bom)]
+        assert outputs[0][0] == 0 and outputs[0][1].startswith("total_weight=")
+        assert outputs[1] == outputs[0]
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "emst", "--in", str(tmp_path / "nope.csv"))
         assert code == 1

@@ -143,6 +143,15 @@ class TestCsvIO:
         ds = load_dataset(path)
         assert ds.n == 2 and ds.d == 2
 
+    @pytest.mark.parametrize("header", ["", "x,y\n"])
+    def test_byte_order_mark_is_not_a_header(self, tmp_path, header):
+        """Excel's "CSV UTF-8" starts with a byte-order mark; only a real header is skipped."""
+        path = tmp_path / "pts.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + f"{header}1.0,2.0\n3,4\n5,6\n".encode())
+        ds = load_dataset(path)
+        assert ds.n == 3
+        np.testing.assert_array_equal(ds.coords, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
     def test_ragged_row_names_row_number(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("0,0\n1\n")

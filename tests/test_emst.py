@@ -287,14 +287,21 @@ def mst_keys(ds, leaf_capacity):
 
 
 def boruvka_rounds(index, n):
-    """Run Boruvka over `index`, yielding (dsu, candidates) before each union."""
+    """Run Boruvka over `index`, yielding (dsu, candidates) before each union.
+
+    A round whose candidates join nothing raises, as in `naive_boruvka`: a
+    defective engine fails the test instead of looping forever.
+    """
     dsu = DisjointSet(n)
     while dsu.component_count > 1:
         candidates = find_component_neighbors(index, dsu)
+        before = dsu.component_count  # the caller may union first
         yield dsu, candidates
         for comp in sorted(candidates):
             edge = candidates[comp]
             dsu.union(edge.u, edge.v)
+        if dsu.component_count == before:
+            raise RuntimeError(f"Boruvka round made no progress at {before} components")
 
 
 def brute_lists(index):
@@ -655,8 +662,10 @@ class TestNeighborLists:
             return limits(self, s, err)
 
         monkeypatch.setattr(_DualTreeEngine, "_limits", spy)
+        # 600 points on 20 sites prune every cross pair of the list pass, so
+        # 600 uniform points join them: self blocks read no limit
         sites = rng.random((20, 3))
-        ds = Dataset(sites[rng.permutation(np.arange(600) % 20)])
+        ds = Dataset(np.vstack((sites[rng.permutation(np.arange(600) % 20)], rng.random((600, 3)))))
         index = KdTree(ds, 20)
         per_round = []
         for _ in boruvka_rounds(index, ds.n):
@@ -814,6 +823,31 @@ def test_cross_block_selection_equals_two_passes(rows, cols, err, seed):
             np.testing.assert_array_equal(g, x)
 
 
+def capped_limit_candidates(w, err):
+    """Self-block selection by the limit rule at the cap, then the trim: the oracle.
+
+    A self block meets only empty lists, whose +inf K-th weights the limit
+    rule caps at just above 8.
+    """
+    limits = np.full(len(w), np.nextafter(np.float32(8), np.float32(np.inf)))
+    if w.shape[1] > _K:
+        limits = np.minimum(limits, np.partition(w, _K - 1, axis=1)[:, _K - 1] + 2.0 * err)
+    return np.divmod(np.flatnonzero(w <= limits[:, None]), w.shape[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3 * _K), st.sampled_from([0.0, 0.2, 1.0]), st.integers(0, 2**32 - 1))
+def test_self_block_selection_equals_the_limit_rule_at_the_cap(size, err, seed):
+    """Float32 blocks of repeated values, ties at the K-th value, an infinite diagonal."""
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, 0.5, 1.0, 1.25, 2.0, 3.0, 3.99], dtype=np.float32)
+    w = values[rng.integers(0, len(values), (size, size))]
+    np.fill_diagonal(w, np.inf)
+    got = _DualTreeEngine._knn_candidates(w, err)
+    for g, x in zip(got, capped_limit_candidates(w, err)):
+        np.testing.assert_array_equal(g, x)
+
+
 class TestOraclesAcrossBaseNodes:
     """Oracle tests of this module with base nodes of 8 and 48 points.
 
@@ -937,7 +971,7 @@ class TestFusedBlocks:
         coords = rng.random((300, d)) if kind == "uniform" else tie_heavy_coords(kind, 300, rng, d)
         monkeypatch.setattr(emst_module, "_base_capacity", lambda d: base_cap)
         engine = _DualTreeEngine(backend_cls(Dataset(coords), 20))
-        holders = [s for s in engine.nodes if s.query is not None]
+        holders = [s for s in engine.nodes if s.rows is not None and len(s.ids)]
         parents = [s for s in holders if not s.base]
         assert parents
         for s in parents:
