@@ -87,17 +87,19 @@ base cases re-derive through `_rederive`, the engine's one way: `sq_dists`
 on `np.take` gathers, a chunk at a time.
 
 A base case has a fixed cost in small numpy calls that can far exceed its
-kernel's, so the traversal fuses sibling base nodes.  A base parent is an
-internal node whose two children are non-empty base nodes; made one after
-the other, their rows adjoin, so a base parent, like a base node, is one row
-range of the engine's arrays: ids, block copies and points' roots.  When the
-traversal pops a cross pair whose sides are base nodes or base parents, at
-least one a base parent, and none of the 2 or 4 child pairs it would push
-is pruned, it runs one base case over the whole pair and then lowers the
-bounds of every base node the pair covers.  The fused block's entries are
-exactly the union of its child blocks', so it evaluates no pair the
-traversal would have skipped; it admits entries by the bounds before its
-child blocks would have lowered them, which only admits more.
+kernel's, so the traversal fuses sibling base nodes.  The engine's rows are
+the index's live ids in pre-order, left before right, so each node's points
+are one run of rows, in the index's order, not sorted by id.  A base parent
+is an internal node whose two children are non-empty base nodes; like a base
+node, it is one row range of the engine's arrays: ids, block copies and
+points' roots.  When the traversal pops a cross pair whose sides are base
+nodes or base parents, at least one a base parent, and none of the 2 or 4
+child pairs it would push is pruned, it runs one base case over the whole
+pair and then lowers the bounds of every base node the pair covers.  The
+fused block's entries are exactly the union of its child blocks', so it
+evaluates no pair the traversal would have skipped; it admits entries by the
+bounds before its child blocks would have lowered them, which only admits
+more.
 
 The block kernel is the only one, and serves data in any unit.  It centres
 the coordinates on the midpoint m of the live bounding box, so its window
@@ -278,10 +280,10 @@ class _NodeState:
 
     Every node is marked with `comp` and `bound`.  Base nodes and base parents,
     internal nodes whose two children are non-empty base nodes, hold blocks:
-    `rows` is their slice of the engine's base-node order (else None), and
-    their `ids`, points' `roots` and block copies are that row slice of
-    engine-wide arrays.  A base parent's rows are its left child's, then its
-    right child's.
+    `rows` is their run of the index's pre-order live ids, the engine's row
+    order (else None), and their `ids`, points' `roots` and block copies are
+    that row slice of engine-wide arrays.  Rows are not sorted by id.  A base
+    parent's rows are its left child's, then its right child's.
     """
 
     __slots__ = (
@@ -343,24 +345,22 @@ class _DualTreeEngine:
         self.err_floor = (4 * tree.d + 8) * 2.0 ** -149
         # the kernel works on centred coordinates times 2**-exp
         self.exp = 0
+        # the row order: the index's live ids in pre-order, left before right,
+        # so every node's points are one run of it and of every array in it
+        self.order = order = np.array(tree.live_ids(), dtype=np.intp)
         # parents before children: reversed, the list runs bottom-up
         self.nodes = self._snapshot(tree.root, base_cap)
         self.root = self.nodes[0]
-        live = [s.ids for s in self.nodes if s.base]
-        # base node by base node, so each base node's and base parent's rows
-        # are one slice of it and of every array in its order
-        self.order = order = np.concatenate(live) if live else np.empty(0, dtype=np.intp)
         self.holders = [s for s in self.nodes if s.rows is not None]
         for state in self.holders:
             state.ids = order[state.rows]
-        self.live = np.sort(order)
-        self.max_id = int(self.live[-1]) if len(self.live) else -1
+        self.max_id = int(order.max()) if len(order) else -1
         live_coords = self.coords[order]
         check_sq_range(live_coords)
         self._fill_fast(live_coords)
-        # row r holds live point live[r]: its `_K` nearest other points as
-        # canonical squared weight + 1j * id, ascending by (weight, id);
-        # `_PAD` pads short lists
+        # row r holds live point order[r] (rows are not sorted by id): its `_K`
+        # nearest other points as canonical squared weight + 1j * id,
+        # ascending by (weight, id); `_PAD` pads short lists
         self.knn = None
         # canonical weights the k-NN list pass computed, and its base cases
         # (a fused block counts once)
@@ -370,37 +370,34 @@ class _DualTreeEngine:
         self.fallback_components = 0
 
     def _snapshot(self, root, base_cap: int) -> list[_NodeState]:
+        # a node's rows start where its parent's do, or, for a right child,
+        # after its left sibling's live points (pre-order, left before right)
         nodes: list[_NodeState] = []
-        end = 0  # rows the base nodes made so far take in the engine's order
 
-        def make(node, parent: int) -> _NodeState:
-            nonlocal end
+        def make(node, parent: int, start: int) -> _NodeState:
             base = node.is_leaf or node.n_live <= base_cap
             state = _NodeState(node, base, parent)
             if base:
-                state.ids = np.sort(np.array(node.collect_live_ids(), dtype=np.intp))
-                state.rows = slice(end, end + len(state.ids))
-                end = state.rows.stop
+                state.rows = slice(start, start + node.n_live)
             else:
-                stack.append((len(nodes), node))
+                stack.append((len(nodes), node, start))
             nodes.append(state)
             return state
 
         stack = []
-        make(root, -1)
+        make(root, -1, 0)
         while stack:
-            i, node = stack.pop()
-            ls = nodes[i].left = make(node.left, i)
-            rs = nodes[i].right = make(node.right, i)
-            if ls.base and rs.base and len(ls.ids) and len(rs.ids):
-                # a base parent: made one after the other, its children's rows adjoin
-                nodes[i].rows = slice(ls.rows.start, rs.rows.stop)
+            i, node, start = stack.pop()
+            ls = nodes[i].left = make(node.left, i, start)
+            rs = nodes[i].right = make(node.right, i, start + ls.n_live)
+            if ls.base and rs.base and ls.n_live and rs.n_live:
+                nodes[i].rows = slice(start, start + node.n_live)  # a base parent
         return nodes
 
     def _fill_fast(self, live_coords: np.ndarray) -> None:
         """The block kernel's `query` and `ref` copies of the points (module docstring).
 
-        `live_coords` holds the points in the base-node order, the copies'
+        `live_coords` holds the points in the engine's row order, the copies'
         row order; it is overwritten.  Each holder keeps its rows' `max_sqn`.
         """
         fast = live_coords
@@ -422,16 +419,6 @@ class _DualTreeEngine:
             if len(state.ids):  # empty nodes are never visited: the traversal skips them
                 state.max_sqn = float(sqn[state.rows].max())
 
-    @property
-    def knn_w(self) -> np.ndarray:
-        """Canonical squared weights of the lists, inf in pads (a view)."""
-        return self.knn.real
-
-    @property
-    def knn_id(self) -> np.ndarray:
-        """Ids of the lists, -1 in pads."""
-        return self.knn.imag.astype(np.intp)
-
     def run_round(self, labels: np.ndarray):
         """Each component's best outgoing pair as (squared weight, u, v) arrays.
 
@@ -444,37 +431,38 @@ class _DualTreeEngine:
         self.cand_sq = cand_sq = np.full(n, np.inf)
         self.cand_u = np.full(n, -1, dtype=np.int64)
         self.cand_v = np.full(n, -1, dtype=np.int64)
-        unsettled = self._answer_from_lists(labels)
+        own = labels[self.order]  # each row's component
+        unsettled = self._answer_from_lists(labels, own)
         self.fallback_components = len(unsettled)
         if len(unsettled):
             # Settled components keep their list answer: a bound of -inf makes
             # their rows never accept a block entry and prunes every node pair
             # that holds no unsettled component.
             settled = np.zeros(n, dtype=bool)
-            settled[labels[self.live]] = True
+            settled[own] = True
             settled[unsettled] = False
             kept = cand_sq[settled]
             cand_sq[settled] = -np.inf
             self.bound = cand_sq
-            self._mark(labels)
+            self._mark(own)
             self._visit(self.root, self.root, 0.0, self._base_case)
             cand_sq[settled] = kept
         return cand_sq, self.cand_u, self.cand_v
 
     def _all_knn(self) -> None:
         """One dual-tree pass filling every live point's `_K`-NN list."""
-        rows = len(self.live)
+        rows = len(self.order)
         self.knn = np.full((rows, _K), _PAD)
-        row_of = np.zeros(self.max_id + 1, dtype=np.intp)
-        row_of[self.live] = np.arange(rows)
         # each point is its own component, named by its list row and bounded
         # by its current K-th weight; base nodes' `roots` are then list rows
         self.bound = self.knn.real[:, -1]
-        self._mark(row_of)
+        self._mark(np.arange(rows))
         self._visit(self.root, self.root, 0.0, self._knn_base_case)
 
-    def _answer_from_lists(self, roots_all: np.ndarray) -> np.ndarray:
+    def _answer_from_lists(self, labels: np.ndarray, own: np.ndarray) -> np.ndarray:
         """Fill the candidates from the lists; return the unsettled components.
+
+        `labels` names every id's component, `own` every row's.
 
         A point's first list entry outside its component is its exact
         nearest outgoing pair, since for a fixed point the pair order
@@ -482,34 +470,32 @@ class _DualTreeEngine:
         wholly inside its component can still hold the component's best edge
         unless its K-th weight exceeds the component's bound strictly.
         """
-        live, ids, w = self.live, self.knn.imag, self.knn_w
-        own = roots_all[live]
+        order, ids, w = self.order, self.knn.imag, self.knn.real
         # ids as integers a chunk of rows at a time: whole-list copies were
         # measured to set the EMST's peak memory at d=3
         outside = ids >= 0
         step = max(1, _GATHER_ELEMS // _K)
-        for lo in range(0, len(live), step):
+        for lo in range(0, len(order), step):
             nbr = ids[lo : lo + step].astype(np.intp)
-            outside[lo : lo + step] &= roots_all[nbr] != own[lo : lo + step, None]
+            outside[lo : lo + step] &= labels[nbr] != own[lo : lo + step, None]
         has = outside.any(axis=1)
         rows = np.nonzero(has)[0]
         first = outside[rows].argmax(axis=1)
-        self._offer(own[rows], live[rows], ids[rows, first].astype(np.intp), w[rows, first])
+        self._offer(own[rows], order[rows], ids[rows, first].astype(np.intp), w[rows, first])
         blocked = ~has & (w[:, -1] <= self.cand_sq[own])
         # distinct, ascending: `np.unique` imports `numpy.ma` (1.6 MB) on first use
         return np.flatnonzero(np.bincount(own[blocked]))
 
-    def _mark(self, roots_all: np.ndarray) -> None:
-        """Mark every node's component and bound for the current partition.
+    def _mark(self, own: np.ndarray) -> None:
+        """Mark every node's component and bound; `own` names each row's component.
 
         A base node's bound is the largest bound of its points' components,
         an internal node's the larger of its children's.  Every block holder
-        takes its `roots` as a slice of one array in the base-node order.
+        takes its `roots` as its row slice of `own`.
         """
         bound = self.bound
-        roots_rows = roots_all[self.order]
         for state in self.holders:
-            state.roots = roots_rows[state.rows]
+            state.roots = own[state.rows]
         for state in reversed(self.nodes):
             if not state.base:
                 ls, rs = state.left, state.right
@@ -666,7 +652,7 @@ class _DualTreeEngine:
         m = len(p)
         cand = np.empty(m, complex)
         cand.imag = q
-        self._rederive(self.live[p], q, cand.real)
+        self._rederive(self.order[p], q, cand.real)
         self.knn_rederived += m
         heads = np.ones(m, dtype=bool)
         heads[1:] = p[1:] != p[:-1]
@@ -796,8 +782,9 @@ def find_component_neighbors(index, dsu: DisjointSet) -> dict[int, Edge]:
     """One Boruvka round: each component's nearest edge into any other component.
 
     Returns a map from component root id to that component's best outgoing
-    edge under the total order.  The index must cover ids 0..n-1 of the same
-    dataset the DisjointSet was built for and must not be mutated mid-round.
+    edge under the total order.  The index's ids must lie in 0..n-1 of the
+    same dataset the DisjointSet was built for; a component of ids the index
+    does not hold gets no edge.  The index must not be mutated mid-round.
     The first call on an index state builds the k-NN lists the rounds are
     answered from and keeps them until a mutation; components the lists
     cannot settle take a dual-tree pass.

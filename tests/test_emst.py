@@ -41,7 +41,7 @@ from emstbench.emst import (
     _NodeState,
     _PAD,
 )
-from conftest import random_dataset, shuffled_path, star
+from conftest import dense_prim, random_dataset, shuffled_path, star
 
 
 def edge_key(el: EdgeList):
@@ -318,6 +318,16 @@ def brute_lists(index):
     return live, w, ids
 
 
+def engine_lists(engine):
+    """The engine's live ids, list weights and list ids, rows ascending by id.
+
+    The engine's rows follow the index's pre-order, not the ids.
+    """
+    by_id = np.argsort(engine.order)
+    lists = engine.knn[by_id]
+    return engine.order[by_id], lists.real, lists.imag.astype(np.intp)
+
+
 def tie_heavy_coords(kind, n, rng, d=None):
     """n copies of 1-4 sites, n points offset by 10-1e4 or scaled by 1e-200 to
     1e-155, an integer lattice, or a sub-scale cluster.  Offset, scaled and
@@ -405,9 +415,10 @@ def lists_equal_brute_force_before_and_after_mutation(backend_cls, kind, n, leaf
         find_component_neighbors(index, DisjointSet(n))
         engine = index._emst_engine
         live, w, ids = brute_lists(index)
-        np.testing.assert_array_equal(engine.live, live)
-        np.testing.assert_array_equal(engine.knn_w, w)
-        np.testing.assert_array_equal(engine.knn_id, ids)
+        got_live, got_w, got_ids = engine_lists(engine)
+        np.testing.assert_array_equal(got_live, live)
+        np.testing.assert_array_equal(got_w, w)
+        np.testing.assert_array_equal(got_ids, ids)
         if step or n < 3:
             break
         # drop up to half the points, and move some of them onto another's site
@@ -599,12 +610,12 @@ class TestNeighborLists:
         find_component_neighbors(index, DisjointSet(2000))
         engine = index._emst_engine
         assert engine.fallback_components == 0  # no traversal after the list pass
-        kth = engine.knn_w[:, -1]
+        kth = engine.knn.real[:, -1]
         for state in engine.nodes:
             if not state.base:
                 assert state.bound == max(state.left.bound, state.right.bound)
             elif len(state.ids):
-                assert state.bound == kth[np.searchsorted(engine.live, state.ids)].max()
+                assert state.bound == kth[state.rows].max()
 
     @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
     def test_node_marks_are_exact_on_a_round_partition(self, backend_cls):
@@ -622,7 +633,7 @@ class TestNeighborLists:
             bound = rng.random(ds.n)
             bound[rng.choice(ds.n, ds.n // 3, replace=False)] = -np.inf  # settled components
             engine.bound = bound
-            engine._mark(labels)
+            engine._mark(labels[engine.order])
             for state in engine.nodes:
                 if not state.base:
                     ls, rs = state.left, state.right
@@ -996,8 +1007,9 @@ class TestFusedBlocks:
             for dsu, candidates in boruvka_rounds(index, ds.n):
                 if not got:
                     _, w, ids = brute_lists(index)
-                    np.testing.assert_array_equal(index._emst_engine.knn_w, w)
-                    np.testing.assert_array_equal(index._emst_engine.knn_id, ids)
+                    _, got_w, got_ids = engine_lists(index._emst_engine)
+                    np.testing.assert_array_equal(got_w, w)
+                    np.testing.assert_array_equal(got_ids, ids)
                 # every candidate is an MST edge, and every MST edge is one
                 got |= {(e.u, e.v, e.weight) for e in candidates.values()}
             assert fused["list"] and fused["fallback"], backend_cls.__name__
@@ -1026,6 +1038,63 @@ class TestFusedBlocks:
             find_component_neighbors(index, DisjointSet(2000))
             counts.append(index._emst_engine.knn_base_cases)
         assert counts[0] > 0 and counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+@pytest.mark.parametrize("base_cap", [None, 8])
+def test_rounds_do_not_depend_on_the_order_of_ids_in_a_leaf(backend_cls, base_cap, monkeypatch):
+    """Twin indexes, one with every leaf's ids reversed, give the same rounds.
+
+    The engine's rows are the index's live ids in pre-order, so a leaf's id
+    order is its rows' order; the first-round lists must be equal in id
+    order, and every round's candidates equal.  Copies of 40 sites send
+    components to the tree traversal.
+    """
+    if base_cap is not None:
+        monkeypatch.setattr(emst_module, "_base_capacity", lambda d: base_cap)
+    rng = np.random.default_rng(21)
+    ds = Dataset(np.vstack((rng.random((40, 3))[rng.integers(0, 40, 400)], rng.random((200, 3)))))
+    plain, flipped = backend_cls(ds, 20), backend_cls(ds, 20)
+    for node in flipped.root.walk():
+        if node.is_leaf:
+            node.ids.reverse()
+            node._arr = None
+    fallback = 0
+    rounds = zip(boruvka_rounds(plain, ds.n), boruvka_rounds(flipped, ds.n))
+    for step, ((_, a), (_, b)) in enumerate(rounds):
+        engines = plain._emst_engine, flipped._emst_engine
+        if not step:
+            assert not np.array_equal(engines[0].order, engines[1].order)
+            for x, y in zip(*map(engine_lists, engines)):
+                np.testing.assert_array_equal(x, y)
+        assert a == b, f"round {step + 1}"
+        fallback += engines[1].fallback_components
+    assert fallback > 0
+
+
+def prim_set(kind):
+    """20000 points at d=3: uniform, 20 gaussian blobs at sigma = 1e-4, or 2000 sites of 10 copies."""
+    if kind == "uniform":
+        return generate_synthetic(20000, 3, "uniform", 20110215).coords
+    rng = np.random.default_rng(20110215)
+    if kind == "blobs":
+        centres = rng.random((20, 3))
+        return (centres[:, None, :] + 1e-4 * rng.standard_normal((20, 1000, 3))).reshape(-1, 3)
+    return rng.random((2000, 3))[rng.permutation(20000) % 2000]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["uniform", "blobs", "sites"])
+def test_edges_equal_a_dense_prim_at_n20000(kind):
+    """Edge arrays on both backends equal Prim's over sets of many base nodes."""
+    coords = prim_set(kind)
+    u, v, sq = dense_prim(coords)
+    for backend in BACKENDS:
+        el = dual_tree_boruvka(Dataset(coords), backend)
+        order = el.order()
+        np.testing.assert_array_equal(el.u[order], u, err_msg=backend)
+        np.testing.assert_array_equal(el.v[order], v, err_msg=backend)
+        np.testing.assert_array_equal(el.w[order], np.sqrt(sq), err_msg=backend)
 
 
 @pytest.mark.parametrize("rows, inner", [(64, 17), (1024, 52)])
@@ -1066,8 +1135,9 @@ def test_lists_are_exact_when_gathers_take_many_chunks(backend_cls, monkeypatch)
     first = find_component_neighbors(index, dsu)
     engine = index._emst_engine
     _, w, ids = brute_lists(index)
-    np.testing.assert_array_equal(engine.knn_w, w)
-    np.testing.assert_array_equal(engine.knn_id, ids)
+    _, got_w, got_ids = engine_lists(engine)
+    np.testing.assert_array_equal(got_w, w)
+    np.testing.assert_array_equal(got_ids, ids)
     for e in first.values():
         dsu.union(e.u, e.v)
     got = find_component_neighbors(index, dsu)
