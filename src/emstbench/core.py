@@ -193,6 +193,8 @@ class EdgeList:
 
     def __init__(self, u, v, w):
         self.u, self.v, self.w = np.array(u, np.intp), np.array(v, np.intp), np.array(w, np.float64)
+        if not self.u.shape == self.v.shape == self.w.shape == (self.w.size,):
+            raise ValueError(f"u, v, w must be 1-D of one length: {self.u.shape}, {self.v.shape}, {self.w.shape}")
         bad = self.u >= self.v
         if bad.any():
             raise ValueError(f"edge ids must satisfy u < v, got ({self.u[bad][0]}, {self.v[bad][0]})")

@@ -17,7 +17,8 @@ then Ci's edge e_i would be no heavier than e_(i-1), which also leaves Ci;
 around the cycle all e_i would be one edge, and one edge joins only two
 components.  So a round keeps one copy of each edge both ends chose, and the
 smaller label of that pair stays the root: the kept edges are exactly those
-the edge-by-edge DisjointSet loop of `naive_boruvka` accepts.
+the edge-by-edge DisjointSet loop of `naive_boruvka` accepts.  Wrong
+candidates could close a longer cycle; pointer jumping then raises.
 
 `dual_tree_boruvka` first collapses exact duplicates.  Each site is
 represented by its smallest id; the representatives, kept in ascending id
@@ -91,15 +92,15 @@ kernel's, so the traversal fuses sibling base nodes.  The engine's rows are
 the index's live ids in pre-order, left before right, so each node's points
 are one run of rows, in the index's order, not sorted by id.  A base parent
 is an internal node whose two children are non-empty base nodes; like a base
-node, it is one row range of the engine's arrays: ids, block copies and
-points' roots.  When the traversal pops a cross pair whose sides are base
-nodes or base parents, at least one a base parent, and none of the 2 or 4
-child pairs it would push is pruned, it runs one base case over the whole
-pair and then lowers the bounds of every base node the pair covers.  The
-fused block's entries are exactly the union of its child blocks', so it
-evaluates no pair the traversal would have skipped; it admits entries by the
-bounds before its child blocks would have lowered them, which only admits
-more.
+node, it holds only its row range, by which a base case slices the engine's
+row arrays of ids, components and block copies.  When the traversal pops a
+cross pair whose sides are base nodes or base parents, at least one a base
+parent, and none of the 2 or 4 child pairs it would push is pruned, it runs
+one base case over the whole pair and then lowers the bounds of every base
+node the pair covers.  The fused block's entries are exactly the union of
+its child blocks', so it evaluates no pair the traversal would have skipped;
+it admits entries by the bounds before its child blocks would have lowered
+them, which only admits more.
 
 The block kernel is the only one, and serves data in any unit.  It centres
 the coordinates on the midpoint m of the live bounding box, so its window
@@ -217,12 +218,14 @@ class DisjointSet:
 
 
 def _resolve_roots(parent: np.ndarray) -> np.ndarray:
-    """Root of every element of a parent array, by pointer jumping."""
-    while True:
+    """Root of every element of a parent array, by pointer jumping; a cycle raises."""
+    # each jump doubles every reach: a forest of n settles within n.bit_length() jumps
+    for _ in range(len(parent).bit_length() + 1):
         jumped = parent[parent]
         if np.array_equal(jumped, parent):
             return parent
         parent = jumped
+    raise RuntimeError("the parent array holds a cycle: pointer jumping does not settle")
 
 
 def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -281,9 +284,9 @@ class _NodeState:
     Every node is marked with `comp` and `bound`.  Base nodes and base parents,
     internal nodes whose two children are non-empty base nodes, hold blocks:
     `rows` is their run of the index's pre-order live ids, the engine's row
-    order (else None), and their `ids`, points' `roots` and block copies are
-    that row slice of engine-wide arrays.  Rows are not sorted by id.  A base
-    parent's rows are its left child's, then its right child's.
+    order (else None).  A block's ids, components and copies are that slice
+    of the engine's row arrays; rows are not sorted by id.  A base parent's
+    rows are its left child's, then its right child's.
     """
 
     __slots__ = (
@@ -293,10 +296,8 @@ class _NodeState:
         "parent",
         "n_live",
         "rows",
-        "ids",
         "max_sqn",
         "region",
-        "roots",
         "comp",
         "bound",
     )
@@ -310,12 +311,10 @@ class _NodeState:
         self.parent = parent
         self.n_live = node.n_live
         self.rows = None
-        self.ids = None
         # the largest squared norm of the rows' block-kernel copies, in float64
         self.max_sqn = 0.0
         # the node's plain-Python region snapshot, read by the pair bound
         self.region = node.region
-        self.roots = None
         self.comp = -1
         self.bound = -math.inf
 
@@ -351,9 +350,6 @@ class _DualTreeEngine:
         # parents before children: reversed, the list runs bottom-up
         self.nodes = self._snapshot(tree.root, base_cap)
         self.root = self.nodes[0]
-        self.holders = [s for s in self.nodes if s.rows is not None]
-        for state in self.holders:
-            state.ids = order[state.rows]
         self.max_id = int(order.max()) if len(order) else -1
         live_coords = self.coords[order]
         check_sq_range(live_coords)
@@ -415,8 +411,8 @@ class _DualTreeEngine:
         # doubled after rounding: doubling is exact in float32
         np.multiply(ref[:, :-2], -2.0, out=query[:, :-2])
         query[:, -2], query[:, -1] = 1.0, ref[:, -2]
-        for state in self.holders:
-            if len(state.ids):  # empty nodes are never visited: the traversal skips them
+        for state in self.nodes:
+            if state.rows is not None and state.n_live:  # the traversal skips empty nodes
                 state.max_sqn = float(sqn[state.rows].max())
 
     def run_round(self, labels: np.ndarray):
@@ -431,8 +427,8 @@ class _DualTreeEngine:
         self.cand_sq = cand_sq = np.full(n, np.inf)
         self.cand_u = np.full(n, -1, dtype=np.int64)
         self.cand_v = np.full(n, -1, dtype=np.int64)
-        own = labels[self.order]  # each row's component
-        unsettled = self._answer_from_lists(labels, own)
+        self.own = own = labels[self.order]
+        unsettled = self._answer_from_lists(labels)
         self.fallback_components = len(unsettled)
         if len(unsettled):
             # Settled components keep their list answer: a bound of -inf makes
@@ -444,7 +440,7 @@ class _DualTreeEngine:
             kept = cand_sq[settled]
             cand_sq[settled] = -np.inf
             self.bound = cand_sq
-            self._mark(own)
+            self._mark()
             self._visit(self.root, self.root, 0.0, self._base_case)
             cand_sq[settled] = kept
         return cand_sq, self.cand_u, self.cand_v
@@ -454,15 +450,16 @@ class _DualTreeEngine:
         rows = len(self.order)
         self.knn = np.full((rows, _K), _PAD)
         # each point is its own component, named by its list row and bounded
-        # by its current K-th weight; base nodes' `roots` are then list rows
+        # by its current K-th weight
+        self.own = np.arange(rows)
         self.bound = self.knn.real[:, -1]
-        self._mark(np.arange(rows))
+        self._mark()
         self._visit(self.root, self.root, 0.0, self._knn_base_case)
 
-    def _answer_from_lists(self, labels: np.ndarray, own: np.ndarray) -> np.ndarray:
+    def _answer_from_lists(self, labels: np.ndarray) -> np.ndarray:
         """Fill the candidates from the lists; return the unsettled components.
 
-        `labels` names every id's component, `own` every row's.
+        `labels` names every id's component, `self.own` every row's.
 
         A point's first list entry outside its component is its exact
         nearest outgoing pair, since for a fixed point the pair order
@@ -470,7 +467,7 @@ class _DualTreeEngine:
         wholly inside its component can still hold the component's best edge
         unless its K-th weight exceeds the component's bound strictly.
         """
-        order, ids, w = self.order, self.knn.imag, self.knn.real
+        order, own, ids, w = self.order, self.own, self.knn.imag, self.knn.real
         # ids as integers a chunk of rows at a time: whole-list copies were
         # measured to set the EMST's peak memory at d=3
         outside = ids >= 0
@@ -486,23 +483,21 @@ class _DualTreeEngine:
         # distinct, ascending: `np.unique` imports `numpy.ma` (1.6 MB) on first use
         return np.flatnonzero(np.bincount(own[blocked]))
 
-    def _mark(self, own: np.ndarray) -> None:
-        """Mark every node's component and bound; `own` names each row's component.
+    def _mark(self) -> None:
+        """Mark every node's component and bound from `self.own` and `self.bound`.
 
-        A base node's bound is the largest bound of its points' components,
-        an internal node's the larger of its children's.  Every block holder
-        takes its `roots` as its row slice of `own`.
+        A base node's comp is its points' one component, else -1, and its
+        bound the largest bound of its points' components; an internal node's
+        are its children's common comp and larger bound.
         """
-        bound = self.bound
-        for state in self.holders:
-            state.roots = own[state.rows]
+        own, bound = self.own, self.bound
         for state in reversed(self.nodes):
             if not state.base:
                 ls, rs = state.left, state.right
                 state.comp = ls.comp if ls.comp >= 0 and ls.comp == rs.comp else -1
                 state.bound = max(ls.bound, rs.bound)
-            elif len(state.ids):
-                roots = state.roots
+            elif state.n_live:
+                roots = own[state.rows]
                 state.comp = int(roots[0]) if (roots == roots[0]).all() else -1
                 state.bound = float(bound[roots].max())
 
@@ -510,7 +505,7 @@ class _DualTreeEngine:
         """Refresh the bounds of a block's base nodes after a base case, and their ancestors'."""
         nodes = self.nodes
         for state in (holder,) if holder.base else (holder.left, holder.right):
-            new = float(self.bound[state.roots].max())
+            new = float(self.bound[self.own[state.rows]].max())
             while new < state.bound:
                 state.bound = new
                 if state.parent < 0:
@@ -575,23 +570,24 @@ class _DualTreeEngine:
     def _knn_base_case(self, qs: _NodeState, rs: _NodeState) -> None:
         self.knn_base_cases += 1
         w, err = self._block(qs, rs)
+        own, order = self.own, self.order
         if qs is rs:
             np.fill_diagonal(w, np.inf)
-            own, other = self._knn_candidates(w, err)
-            p, q, keep = qs.roots[own], qs.ids[other], 0
+            i, j = self._knn_candidates(w, err)
+            p, q, keep = own[qs.rows][i], order[qs.rows][j], 0
         else:
             (i, j), (jr, ir) = self._knn_cross_candidates(
                 w, self._limits(qs, err), self._limits(rs, err), err
             )
-            p = np.concatenate((qs.roots[i], rs.roots[jr]))
-            q = np.concatenate((rs.ids[j], qs.ids[ir]))
+            p = np.concatenate((own[qs.rows][i], own[rs.rows][jr]))
+            q = np.concatenate((order[rs.rows][j], order[qs.rows][ir]))
             keep = _K
         if len(p):
             self._knn_merge(p, q, keep)
 
     def _limits(self, s: _NodeState, err: float) -> np.ndarray:
         """Per-point limits on block values, by the one limit rule (module docstring)."""
-        limits = np.ldexp(self.bound[s.roots], -2 * self.exp) + err
+        limits = np.ldexp(self.bound[self.own[s.rows]], -2 * self.exp) + err
         limits = np.minimum(limits, _THRESH_CAP).astype(np.float32)
         return np.nextafter(limits, np.float32(np.inf))
 
@@ -681,7 +677,7 @@ class _DualTreeEngine:
     def _base_case(self, qs: _NodeState, rs: _NodeState) -> None:
         w, err = self._block(qs, rs)
         if qs.comp < 0 or rs.comp < 0:  # else the pair spans two components entirely
-            w[qs.roots[:, None] == rs.roots[None, :]] = np.inf
+            w[self.own[qs.rows][:, None] == self.own[rs.rows][None, :]] = np.inf
         self._update_side(w, qs, rs, err)
         if qs is not rs:
             self._update_side(w.T, rs, qs, err)
@@ -702,10 +698,10 @@ class _DualTreeEngine:
         for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
             ri, cols = np.nonzero(near[lo:hi])
             qi = rows[lo + ri]
-            qid, rid = qs.ids[qi], rs.ids[cols]
+            qid, rid = self.order[qs.rows][qi], self.order[rs.rows][cols]
             sq = np.empty(len(qid))
             self._rederive(qid, rid, sq)
-            self._offer(qs.roots[qi], qid, rid, sq)
+            self._offer(self.own[qs.rows][qi], qid, rid, sq)
 
     def _offer(self, comp: np.ndarray, p: np.ndarray, q: np.ndarray, w: np.ndarray) -> None:
         """Offer pairs (p, q) of canonical squared weight w to components `comp`.

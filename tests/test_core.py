@@ -262,6 +262,15 @@ class TestArrayEdgeList:
         with pytest.raises(ValueError, match=f"u < v, got \\({u[1]}, {v[1]}\\)"):
             EdgeList(u, v, [1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "u, v, w",
+        [([0, 1], [1, 2], [1.0]), ([0, 1], [2], [1.0, 2.0]), ([[0, 1]], [[1, 2]], [[1.0, 2.0]])],
+        ids=["short-w", "short-v", "2-D"],
+    )
+    def test_rejects_arrays_of_other_shapes(self, u, v, w):
+        with pytest.raises(ValueError, match="1-D of one length"):
+            EdgeList(u, v, w)
+
 
 def test_fmt17_round_trips_exactly(rng):
     for x in rng.standard_normal(100).tolist():

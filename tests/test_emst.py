@@ -40,6 +40,7 @@ from emstbench.emst import (
     _naive_candidates,
     _NodeState,
     _PAD,
+    _resolve_roots,
 )
 from conftest import dense_prim, random_dataset, shuffled_path, star
 
@@ -614,7 +615,7 @@ class TestNeighborLists:
         for state in engine.nodes:
             if not state.base:
                 assert state.bound == max(state.left.bound, state.right.bound)
-            elif len(state.ids):
+            elif state.n_live:
                 assert state.bound == kth[state.rows].max()
 
     @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
@@ -633,14 +634,15 @@ class TestNeighborLists:
             bound = rng.random(ds.n)
             bound[rng.choice(ds.n, ds.n // 3, replace=False)] = -np.inf  # settled components
             engine.bound = bound
-            engine._mark(labels[engine.order])
+            engine.own = labels[engine.order]
+            engine._mark()
             for state in engine.nodes:
                 if not state.base:
                     ls, rs = state.left, state.right
                     assert state.comp == (ls.comp if ls.comp == rs.comp else -1)
                     assert state.bound == max(ls.bound, rs.bound)
-                elif len(state.ids):
-                    comps = np.unique(labels[state.ids])
+                elif state.n_live:
+                    comps = np.unique(labels[engine.order[state.rows]])
                     assert state.comp == (comps[0] if len(comps) == 1 else -1)
                     assert state.bound == bound[comps].max()
                     single.append(state.comp >= 0)
@@ -651,12 +653,13 @@ class TestNeighborLists:
         index = KdTree(generate_synthetic(600, 3, "uniform", 3), 20)
         find_component_neighbors(index, DisjointSet(600))
         engine = index._emst_engine
-        bases = [s for s in engine.nodes if s.base and len(s.ids)]
+        bases = [s for s in engine.nodes if s.base and s.n_live]
         blocks = [engine._block(a, b)[0].copy() for a in bases for b in bases]
         err = engine._block(bases[0], bases[-1])[1]
         finite = np.random.default_rng(3).random(200) * 1e-2
         engine.bound = np.concatenate(([-np.inf, np.inf], finite))
-        limits = engine._limits(SimpleNamespace(roots=np.arange(len(engine.bound))), err)
+        engine.own = np.arange(len(engine.bound))
+        limits = engine._limits(SimpleNamespace(rows=slice(None)), err)
         assert limits.dtype == np.float32
         assert limits[0] < -1.0 and not any((w <= limits[0]).any() for w in blocks)
         assert all((w <= limits[1]).all() for w in blocks)
@@ -722,7 +725,7 @@ class TestNeighborLists:
         base_case = _DualTreeEngine._knn_base_case
 
         def spy(engine, qs, rs):
-            blocks.append((qs, rs, (engine.knn[qs.roots] == _PAD).all()))
+            blocks.append((qs, rs, (engine.knn[qs.rows] == _PAD).all()))
             base_case(engine, qs, rs)
 
         monkeypatch.setattr(_DualTreeEngine, "_knn_base_case", spy)
@@ -730,7 +733,7 @@ class TestNeighborLists:
         assert all(empty for qs, rs, empty in blocks if qs is rs)
         assert any(qs is not rs for qs, rs, _ in blocks)
         if kind == "one-point":
-            lone = [s for s in index._emst_engine.nodes if s.base and len(s.ids) == 1]
+            lone = [s for s in index._emst_engine.nodes if s.base and s.n_live == 1]
             assert len(lone) == 1
             first = next((qs, rs) for qs, rs, _ in blocks if lone[0] in (qs, rs))
             assert first[0] is not first[1]
@@ -909,16 +912,17 @@ def test_block_values_lie_within_their_window(backend_cls, d, kind, base_cap, se
         if base_cap is not None:
             patch.setattr(emst_module, "_base_capacity", lambda d: base_cap)
         engine = _DualTreeEngine(index)
-    bases = [s for s in engine.nodes if s.base and len(s.ids)]
+    bases = [s for s in engine.nodes if s.base and s.n_live]
     for a in bases:
         for b in bases:
             w, err = engine._block(a, b)
-            exact = np.ldexp(cross_sq_dists(engine.coords[a.ids], engine.coords[b.ids]), -2 * engine.exp)
+            a_ids, b_ids = engine.order[a.rows], engine.order[b.rows]
+            exact = np.ldexp(cross_sq_dists(engine.coords[a_ids], engine.coords[b_ids]), -2 * engine.exp)
             dev = np.abs(w - exact)
             worst = np.unravel_index(np.argmax(dev), dev.shape)  # a NaN counts as the worst
             fast, want, off = (float(x[worst]) for x in (w, exact, dev))
             assert off <= err, (
-                f"block of base nodes of {len(a.ids)} and {len(b.ids)} points: fast value "
+                f"block of base nodes of {a.n_live} and {b.n_live} points: fast value "
                 f"{fast!r}, exact {want!r}, deviation {off!r} outside the window {err!r} "
                 f"(exp {engine.exp})"
             )
@@ -955,8 +959,8 @@ class TestFusedBlocks:
 
         def list_spy(engine, qs, rs):
             if not (qs.base and rs.base):
-                rows = np.concatenate((qs.roots, rs.roots))
-                blocks["list"].append((qs, rs, engine.knn[rows].copy()))
+                lists = np.concatenate((engine.knn[qs.rows], engine.knn[rs.rows]))
+                blocks["list"].append((qs, rs, lists))
             knn_base_case(engine, qs, rs)
 
         def fallback_spy(engine, qs, rs):
@@ -982,18 +986,19 @@ class TestFusedBlocks:
         coords = rng.random((300, d)) if kind == "uniform" else tie_heavy_coords(kind, 300, rng, d)
         monkeypatch.setattr(emst_module, "_base_capacity", lambda d: base_cap)
         engine = _DualTreeEngine(backend_cls(Dataset(coords), 20))
-        holders = [s for s in engine.nodes if s.rows is not None and len(s.ids)]
+        holders = [s for s in engine.nodes if s.rows is not None and s.n_live]
         parents = [s for s in holders if not s.base]
         assert parents
+        ids = engine.order
         for s in parents:
-            np.testing.assert_array_equal(s.ids, np.concatenate((s.left.ids, s.right.ids)))
+            np.testing.assert_array_equal(ids[s.rows], np.concatenate((ids[s.left.rows], ids[s.right.rows])))
             assert s.max_sqn == max(s.left.max_sqn, s.right.max_sqn)
         exact = np.ldexp(cross_sq_dists(engine.coords, engine.coords), -2 * engine.exp)
         for a in holders:
             for b in holders:
                 w, err = engine._block(a, b)
-                off = np.abs(w - exact[np.ix_(a.ids, b.ids)]).max()
-                assert off <= err, f"blocks of {len(a.ids)} and {len(b.ids)} points: {off!r} > {err!r}"
+                off = np.abs(w - exact[np.ix_(ids[a.rows], ids[b.rows])]).max()
+                assert off <= err, f"blocks of {a.n_live} and {b.n_live} points: {off!r} > {err!r}"
 
     @pytest.mark.parametrize("kind", ["sites", "blobs"])
     def test_fused_blocks_give_exact_lists_and_msts(self, kind, fused, monkeypatch):
@@ -1088,6 +1093,35 @@ def prim_set(kind):
 def test_edges_equal_a_dense_prim_at_n20000(kind):
     """Edge arrays on both backends equal Prim's over sets of many base nodes."""
     coords = prim_set(kind)
+    u, v, sq = dense_prim(coords)
+    for backend in BACKENDS:
+        el = dual_tree_boruvka(Dataset(coords), backend)
+        order = el.order()
+        np.testing.assert_array_equal(el.u[order], u, err_msg=backend)
+        np.testing.assert_array_equal(el.v[order], v, err_msg=backend)
+        np.testing.assert_array_equal(el.w[order], np.sqrt(sq), err_msg=backend)
+
+
+def awkward_prim_set(kind, monkeypatch):
+    """1500 points at 1e-21 N(0, 1) beside (+-1, 0, 0), 8000 cells of a 25^3
+    lattice, or 5000 points on 500 sites in base nodes of at most 8, at d=3.
+
+    The cluster is centred on the origin: near 0.5 it would round to one site.
+    """
+    rng = np.random.default_rng(20110215)
+    if kind == "subscale":
+        return np.vstack(([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], 1e-21 * rng.standard_normal((1500, 3))))
+    if kind == "lattice":
+        return np.array(np.unravel_index(rng.permutation(25**3)[:8000], (25,) * 3), dtype=float).T
+    monkeypatch.setattr(emst_module, "_base_capacity", lambda d: 8)
+    return rng.random((500, 3))[rng.permutation(5000) % 500]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["subscale", "lattice", "sites"])
+def test_edges_equal_a_dense_prim_on_awkward_sets(kind, monkeypatch):
+    """A sub-scale cluster, lattice ties and small base nodes of duplicates, against Prim."""
+    coords = awkward_prim_set(kind, monkeypatch)
     u, v, sq = dense_prim(coords)
     for backend in BACKENDS:
         el = dual_tree_boruvka(Dataset(coords), backend)
@@ -1237,6 +1271,15 @@ class TestArrayDriver:
         monkeypatch.setattr(_DualTreeEngine, "run_round", no_candidates)
         with pytest.raises(RuntimeError, match="no progress"):
             dual_tree_boruvka(random_dataset(rng, 30, 2), "kd")
+
+    def test_hooks_that_close_a_cycle_raise(self, monkeypatch):
+        def cyclic(self, labels):
+            # components 0, 1 and 2 pick (0, 1), (1, 2) and (0, 2): no pick is mutual
+            return np.ones(3), np.array([0, 1, 0]), np.array([1, 2, 2])
+
+        monkeypatch.setattr(_DualTreeEngine, "run_round", cyclic)
+        with pytest.raises(RuntimeError, match="cycle"):
+            dual_tree_boruvka(line_dataset(0, 1, 3), "kd")
 
 
 def duplicate_coords(kind, n, rng):
@@ -1501,6 +1544,22 @@ class TestComponentRoots:
         roots = _component_roots(n, el.u, el.v)
         assert (roots == roots[0]).all()
         assert 0 < len(rounds) <= math.log2(n)
+
+
+class TestResolveRoots:
+    """Pointer jumping settles every forest within its jump bound and raises on a cycle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 1024, 1025])
+    def test_a_path_of_depth_n_minus_one_resolves(self, n):
+        parent = np.maximum(np.arange(n) - 1, 0)  # i hangs from i - 1
+        np.testing.assert_array_equal(_resolve_roots(parent), np.zeros(n, dtype=np.intp))
+
+    @pytest.mark.parametrize(
+        "parent", [[1, 2, 0], [1, 2, 0, 0, 3, 4]], ids=["cycle", "cycle-under-a-tree"]
+    )
+    def test_a_cycle_raises(self, parent):
+        with pytest.raises(RuntimeError, match="cycle"):
+            _resolve_roots(np.array(parent, dtype=np.intp))
 
 
 class TestValidateOnArrays:
