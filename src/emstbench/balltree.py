@@ -12,7 +12,8 @@ stay as wide as the parent's (Omohundro, ICSI TR-89-063; Moore, UAI 2000).
 Each node keeps the region snapshot ``(center, radius)`` (the center as a
 Python float list) that k-NN, insertion and the EMST engine read; the radius
 is always a canonical-kernel distance, the value `audit` checks.  Insertion
-descends toward the nearer child center and inflates radii on the way down.
+descends toward the nearer child center, then takes every path radius it
+may inflate from one kernel call over the path's stacked centers.
 Everything else (tombstone deletion with subtree rebuilds, exact k-NN, the
 shared audit checks) lives in `index.SpatialIndex`, so the ball-tree and
 the kd-tree differ only in their bounds.
@@ -150,15 +151,6 @@ class BallNode(IndexNode):
             dr += (x - rc) * (x - rc)
         return self.left if dl <= dr else self.right
 
-    def include(self, c: np.ndarray, alone: bool) -> None:
-        if alone:
-            self.center = c.copy()
-            self.region = (c.tolist(), 0.0)
-        else:
-            dist = math.sqrt(sq_dists(c[None, :], self.center)[0])
-            if dist > self.region[1]:
-                self.region = (self.region[0], dist)
-
     def empty_copy(self) -> BallNode:
         return BallNode(self.center, 0.0)
 
@@ -180,6 +172,22 @@ class BallTree(SpatialIndex):
             half = len(ids) // 2
             left_ids, right_ids = ordered[:half], ordered[half:]
         return left_ids, right_ids
+
+    @staticmethod
+    def _grow_path(path: list, c: np.ndarray) -> None:
+        leaf = path[-1]
+        if leaf.n_live == 1:
+            leaf.center = c.copy()
+            leaf.region = (c.tolist(), 0.0)
+            path = path[:-1]
+        if not path:
+            return
+        # (a - b)^2 == (b - a)^2 and sqrt rounds correctly, so each radius is
+        # the canonical distance from its own center, as `audit` checks
+        dists = np.sqrt(sq_dists(np.array([node.center for node in path]), c)).tolist()
+        for node, dist in zip(path, dists):
+            if dist > node.region[1]:
+                node.region = (node.region[0], dist)
 
     _region_min_sq = staticmethod(_ball_min_sq)
 

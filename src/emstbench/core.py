@@ -184,6 +184,19 @@ class Edge:
             raise ValueError(f"edge ids must satisfy u < v, got ({self.u}, {self.v})")
 
 
+def _ids(values) -> np.ndarray:
+    """`values` as an intp array; ValueError if one is not an integer (1.7, nan, 1e30)."""
+    raw = np.asarray(values)
+    if raw.dtype.kind in "iu":
+        return np.array(raw, np.intp)
+    with np.errstate(invalid="ignore"):  # a cast that fails is caught below
+        ids = raw.astype(np.intp)
+    bad = ids != raw
+    if bad.any():
+        raise ValueError(f"edge ids must be integers, got {raw[bad].flat[0]!r}")
+    return ids
+
+
 class EdgeList:
     """Edges as arrays: edge i joins ids u[i] < v[i] (intp) at weight w[i] (float64).
 
@@ -192,7 +205,7 @@ class EdgeList:
     """
 
     def __init__(self, u, v, w):
-        self.u, self.v, self.w = np.array(u, np.intp), np.array(v, np.intp), np.array(w, np.float64)
+        self.u, self.v, self.w = _ids(u), _ids(v), np.array(w, np.float64)
         if not self.u.shape == self.v.shape == self.w.shape == (self.w.size,):
             raise ValueError(f"u, v, w must be 1-D of one length: {self.u.shape}, {self.v.shape}, {self.w.shape}")
         bad = self.u >= self.v

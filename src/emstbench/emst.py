@@ -981,14 +981,18 @@ def kruskal_mst(ds: Dataset) -> EdgeList:
 def validate_spanning_tree(edgelist: EdgeList, n: int) -> None:
     """Raise ValueError unless the edges form a spanning tree over ids 0..n-1.
 
-    n - 1 edges in range that leave more than one component close a cycle.
+    Every weight must be finite and non-negative.  n - 1 edges in range that
+    leave more than one component close a cycle.
     """
-    u, v = edgelist.u, edgelist.v
+    u, v, w = edgelist.u, edgelist.v, edgelist.w
     if len(u) != n - 1:
         raise ValueError(f"spanning tree over {n} points needs {n - 1} edges, got {len(u)}")
     bad = (u < 0) | (v >= n)  # u < v on every edge
     if bad.any():
         raise ValueError(f"edge ({u[bad][0]}, {v[bad][0]}) references ids outside 0..{n - 1}")
+    bad = ~(np.isfinite(w) & (w >= 0.0))
+    if bad.any():
+        raise ValueError(f"edge ({u[bad][0]}, {v[bad][0]}) has weight {w[bad][0]}, not a finite distance >= 0")
     parts = np.count_nonzero(_component_roots(n, u, v) == np.arange(n))
     if parts > 1:
         raise ValueError(f"the {n - 1} edges leave {parts} components, so they close a cycle")

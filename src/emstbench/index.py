@@ -8,22 +8,25 @@ its geometry, following the tree / prune-rule / base-case split of Curtin
 et al., "Tree-Independent Dual-Tree Algorithms" (ICML 2013):
 
 * the index: `_make_node(ids)` (a node bounding those points), `_split(node,
-  ids)` (the two child id sets), `_audit_region(node, live, parts)` (its own
-  audit checks on its live ids and its children's), `_region_min_sq(a, b)`
-  (squared lower bound between two region snapshots, in plain Python floats)
-  and `_point_region(c)` (a point as a degenerate snapshot, so one bound
-  serves node-to-point and node-to-node);
+  ids)` (the two child id sets), `_grow_path(path, c)` (grow every region on
+  an insert's root-to-leaf path to take c in, in one pass; a leaf whose only
+  point is c takes c as its region), `_audit_region(node, live, parts)` (its
+  own audit checks on its live ids and its children's), `_region_min_sq(a,
+  b)` (squared lower bound between two region snapshots, in plain Python
+  floats) and `_point_region(c)` (a point as a degenerate snapshot, so one
+  bound serves node-to-point and node-to-node);
 * the node: `region` (its snapshot, kept current by every change),
-  `child_for(c)` (the child an inserted point descends into), `include(c,
-  alone)` (grow the region to take c in; `alone` when c is its only point)
-  and `empty_copy()` (the empty leaf that replaces a subtree whose points
-  are all deleted).
+  `child_for(c)` (the child an inserted point descends into) and
+  `empty_copy()` (the empty leaf that replaces a subtree whose points are
+  all deleted).
 
 One snapshot per node serves `knn`, insertion and the EMST engine, so no
 search converts a node's region per visit.  `knn` is best-first (distance
 browsing as in Hjaltason & Samet, ACM TODS 1999): nodes leave a heap in
 order of their bound, and the search stops once the nearest bound left
-exceeds the current k-th distance.
+exceeds the current k-th squared distance.  The k best points so far are
+one list sorted by (squared distance, id); a leaf's points no farther than
+its last entry join it by one sort, cut back to k.
 
 No whole-tree pass recurses, since inserts never rebalance and a stream
 along a line grows a tree a thousand levels deep.  `IndexNode.walk` yields
@@ -200,12 +203,13 @@ class SpatialIndex:
         self._store_coords(p.id, c)
 
         node = self.root
-        while True:
-            node.n_live += 1
-            node.include(c, node.is_leaf and node.n_live == 1)
-            if node.is_leaf:
-                break
+        path = [node]
+        node.n_live += 1
+        while node.ids is None:
             node = node.child_for(c)
+            node.n_live += 1
+            path.append(node)
+        self._grow_path(path, c)
 
         node.ids.append(p.id)
         node._arr = None
@@ -289,37 +293,37 @@ class SpatialIndex:
 
         target = self._point_region(c.tolist())
         min_sq = self._region_min_sq
-        heap: list[tuple[float, int]] = []  # (-squared distance, -id): root of heap = current worst
+        coords = self._coords
+        best: list[tuple[float, int]] = []  # the k best (squared distance, id) so far, ascending
+        worst = math.inf  # best[-1][0] once best holds k points
         frontier = [(0.0, 0, self.root)]  # (bound, push order, node), nearest bound first
         pushed = 0
-        while frontier:
-            dist, _, node = heapq.heappop(frontier)
-            if len(heap) == k and dist * (1.0 - _PRUNE_EPS) > -heap[0][0]:
-                break  # every node left is at least this far
-            ids = node.ids
-            if ids is None:
-                for child in (node.left, node.right):
-                    if child.n_live:
-                        pushed += 1
-                        heapq.heappush(frontier, (min_sq(child.region, target), pushed, child))
-                continue
-            with np.errstate(over="ignore"):  # an overflow reads inf; see the check below
-                sqs = sq_dists(self._coords[node.ids_array()], c)
-            # admission under (distance, id): every point until the heap holds
-            # k, then only points no farther than the k-th best
-            worst = -heap[0][0] if len(heap) == k else math.inf
-            for j in np.nonzero(sqs <= worst)[0].tolist():
-                sq, i = sqs.item(j), ids[j]
-                if len(heap) < k:
-                    heapq.heappush(heap, (-sq, -i))
-                elif (sq, i) < (-heap[0][0], -heap[0][1]):
-                    heapq.heapreplace(heap, (-sq, -i))
+        with np.errstate(over="ignore"):  # an overflow reads inf; see the check below
+            while frontier:
+                dist, _, node = heapq.heappop(frontier)
+                if dist * (1.0 - _PRUNE_EPS) > worst:
+                    break  # every node left is at least this far
+                ids = node.ids
+                if ids is None:
+                    for child in (node.left, node.right):
+                        if child.n_live:
+                            pushed += 1
+                            heapq.heappush(frontier, (min_sq(child.region, target), pushed, child))
+                    continue
+                sqs = sq_dists(coords[node.ids_array()], c).tolist()
+                # only points no farther than the k-th best can enter the answer;
+                # one sort under (squared distance, id) merges them into it
+                near = [t for t in zip(sqs, ids) if t[0] <= worst]
+                if near:
+                    best = sorted(best + near)[:k]
+                    if len(best) == k:
+                        worst = best[-1][0]
 
-        if -heap[0][0] == math.inf:
+        if best[-1][0] == math.inf:
             raise ValueError(
                 "squared distances from the query overflow float64; rescale the data and query"
             )
-        out = [(-i, math.sqrt(-negsq)) for negsq, i in heap]
+        out = [(i, math.sqrt(sq)) for sq, i in best]
         out.sort(key=lambda t: (t[1], t[0]))
         return out
 

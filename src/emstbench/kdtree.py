@@ -4,7 +4,8 @@ Nodes split on the axis of maximum coordinate spread at the median, found by
 linear-time selection (``np.argpartition``), and bound their points by a
 closed axis-aligned box, held as plain-Python lists ``(mins, maxs)``: the
 region snapshot that k-NN, insertion and the EMST engine read.  Insertion
-descends by the split plane and widens every box on the way down.
+descends by the split plane, then widens every box on the path from one
+list of the point's coordinates.
 Everything else (leaves of up to ``leaf_capacity`` points, tombstone
 deletion with subtree rebuilds, exact k-NN, the shared audit checks) lives
 in `index.SpatialIndex`, so the kd-tree and the ball-tree differ only in
@@ -88,17 +89,6 @@ class KdNode(IndexNode):
     def child_for(self, c: np.ndarray) -> KdNode:
         return self.left if c[self.split_dim] <= self.split_value else self.right
 
-    def include(self, c: np.ndarray, alone: bool) -> None:
-        if alone:
-            self.region = (c.tolist(), c.tolist())
-            return
-        mins, maxs = self.region
-        for k, x in enumerate(c.tolist()):
-            if x < mins[k]:
-                mins[k] = x
-            if x > maxs[k]:
-                maxs[k] = x
-
     def empty_copy(self) -> KdNode:
         return KdNode(*self.region)
 
@@ -119,6 +109,22 @@ class KdTree(SpatialIndex):
         node.split_dim = dim
         node.split_value = float(vals[part[k]])
         return ids[part[:k]], ids[part[k:]]
+
+    @staticmethod
+    def _grow_path(path: list, c: np.ndarray) -> None:
+        point = c.tolist()
+        leaf = path[-1]
+        if leaf.n_live == 1:
+            # two lists: later inserts widen mins and maxs in place
+            leaf.region = (point, list(point))
+            path = path[:-1]
+        for node in path:
+            mins, maxs = node.region
+            for k, x in enumerate(point):
+                if x < mins[k]:
+                    mins[k] = x
+                if x > maxs[k]:
+                    maxs[k] = x
 
     _region_min_sq = staticmethod(_box_min_sq)
 

@@ -271,6 +271,20 @@ class TestArrayEdgeList:
         with pytest.raises(ValueError, match="1-D of one length"):
             EdgeList(u, v, w)
 
+    @pytest.mark.parametrize(
+        "u, v",
+        [([0.5], [1.7]), ([0], [1.7]), ([0.0, 1.0], [1.0, float("nan")]), (np.array([0.0]), np.array([1e30]))],
+        ids=["fractions", "one-fraction", "nan", "too-large"],
+    )
+    def test_rejects_ids_that_are_not_integers(self, u, v):
+        with pytest.raises(ValueError, match="edge ids must be integers"):
+            EdgeList(u, v, [1.0] * len(u))
+
+    def test_integral_floats_and_integer_arrays_are_ids(self):
+        el = EdgeList([0.0, 2.0], np.array([1, 3], np.int32), [1.0, 2.0])
+        assert el.u.dtype == el.v.dtype == np.intp
+        assert el.u.tolist() == [0, 2] and el.v.tolist() == [1, 3]
+
 
 def test_fmt17_round_trips_exactly(rng):
     for x in rng.standard_normal(100).tolist():

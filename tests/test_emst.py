@@ -1588,6 +1588,15 @@ class TestValidateOnArrays:
     def test_one_point_and_no_edges_pass(self):
         validate_spanning_tree(EdgeList([], [], []), 1)
 
+    @pytest.mark.parametrize("weight", [math.nan, -3.0, math.inf, -math.inf])
+    def test_rejects_a_weight_that_is_no_distance(self, weight):
+        el = EdgeList([0, 1], [1, 2], [1.0, weight])
+        with pytest.raises(ValueError, match=r"edge \(1, 2\) has weight .*not a finite distance"):
+            validate_spanning_tree(el, 3)
+
+    def test_accepts_zero_weights(self):
+        validate_spanning_tree(EdgeList([0, 1], [1, 2], [0.0, -0.0]), 3)
+
 
 class TestNoEdgeObjectsOnTheHotPath:
     """The EMST, its file, validation and clustering build no `Edge`; `.edges` builds n - 1 once."""

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emstbench import BallTree, BoundingBox, Dataset, KdTree, Point, box_min_distance
+from emstbench.core import sq_dists
 from conftest import brute_knn, random_dataset
 
 # the contract both indexes share is tested on both
@@ -316,6 +318,95 @@ def test_insert_far_outside_grows_the_regions_knn_reads(index_cls):
     coords = np.vstack([a, b, [p]])
     assert tree.knn(q, 3) == brute_knn(coords, range(21), q, 3)
     tree.audit()
+
+
+def churned(index_cls, coords, leaf_capacity, seed):
+    """Yield (index, live ids) built from the first half of `coords`, then after
+    inserting the rest in shuffled id order, then after deleting a third."""
+    rng = np.random.default_rng(seed)
+    coords = np.asarray(coords, dtype=np.float64)[rng.permutation(len(coords))]  # id order != place
+    half = len(coords) // 2
+    tree = make_tree(coords[:half], leaf_capacity, index_cls)
+    live = list(range(half))
+    yield tree, live
+    for i in rng.permutation(np.arange(half, len(coords))).tolist():
+        tree.insert(Point(i, coords[i]))
+        live.append(i)
+    yield tree, live
+    for i in rng.choice(live, len(live) // 3, replace=False).tolist():
+        tree.delete(i)
+        live.remove(i)
+    yield tree, live
+
+
+class TestKnnMerge:
+    """Each leaf's points are merged into the answer under (squared distance, id)."""
+
+    @both_indexes
+    @pytest.mark.parametrize("seed", [1, 3, 5])  # seeds that keep 3 or 4 points at distance 1
+    def test_ties_at_the_kth_entry_go_to_the_smallest_ids(self, index_cls, seed):
+        # the integer lattice {-3..3}^2 at leaf capacity 2: the rings at 1, sqrt 2
+        # and 2 around the origin each spread over several leaves
+        lattice = [[x, y] for x in range(-3, 4) for y in range(-3, 4)]
+        for tree, live in churned(index_cls, lattice, 2, seed):
+            coords = tree.coords
+            dist = {i: math.hypot(*coords[i]) for i in live}
+            ring = sorted(i for i in live if dist[i] == 1.0)
+            assert len({id(tree._leaf_of[i]) for i in ring}) > 1
+            inside = sum(dist[i] < 1.0 for i in live)
+            for k in range(1, len(live) + 1):
+                got = tree.knn([0.0, 0.0], k)
+                assert got == brute_knn(coords, live, [0.0, 0.0], k)
+                if inside < k < inside + len(ring):
+                    assert [i for i, d in got if d == 1.0] == ring[: k - inside]
+            q = [0.5, 0.5]  # four points at sqrt(1/2), ties at every ring
+            for k in range(1, len(live) + 1):
+                assert tree.knn(q, k) == brute_knn(coords, live, q, k)
+
+    @both_indexes
+    @pytest.mark.parametrize("leaf_capacity", [1, 3, 20])
+    def test_duplicates_and_k_beyond_the_live_size(self, index_cls, leaf_capacity):
+        rng = np.random.default_rng(leaf_capacity)
+        sites = rng.random((4, 3))
+        coords = np.vstack((sites[rng.integers(0, 4, 70)], rng.random((10, 3))))
+        for tree, live in churned(index_cls, coords, leaf_capacity, leaf_capacity):
+            for q in [*sites, *rng.random((3, 3))]:
+                for k in (1, 7, 20, len(live) - 1, len(live), len(live) + 5, 1000):
+                    assert tree.knn(q, k) == brute_knn(tree.coords, live, q, k)
+            tree.audit()
+
+
+@both_indexes
+def test_insert_grows_each_path_region_to_the_canonical_bound(index_cls):
+    """After an insert each node on its path holds max(old radius, the kernel's
+    distance to its center), or its old box widened to take the point, bit for bit."""
+    rng = np.random.default_rng(7)
+    tree = make_tree(rng.standard_normal((300, 3)), 4, index_cls)
+    live, next_id, alone = list(range(300)), 300, 0
+    for step in range(600):
+        if step % 3 == 2:
+            tree.delete(live.pop(int(rng.integers(len(live)))))
+            continue
+        c = rng.standard_normal(3) * (1.0 + step / 100)
+        path = [tree.root]
+        while not path[-1].is_leaf:
+            path.append(path[-1].child_for(c))
+        before = [(node.n_live, copy.deepcopy(node.region)) for node in path]  # kd widens in place
+        tree.insert(Point(next_id, c))
+        live.append(next_id)
+        split = tree._leaf_of[next_id] is not path[-1]
+        for node, (n_live, old) in zip(path[:-1] if split else path, before):
+            if n_live == 0:  # a leaf left empty by deletes takes the point as its region
+                assert node.is_leaf and node.region == (c.tolist(), c.tolist() if index_cls is KdTree else 0.0)
+                assert node.region[0] is not node.region[1]
+                alone += 1
+            elif index_cls is KdTree:
+                assert node.region == (np.minimum(old[0], c).tolist(), np.maximum(old[1], c).tolist())
+            else:
+                assert node.region == (old[0], max(old[1], math.sqrt(sq_dists(c[None, :], node.center)[0])))
+        next_id += 1
+    tree.audit()
+    assert alone
 
 
 @st.composite

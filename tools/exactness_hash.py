@@ -1,10 +1,11 @@
-"""One SHA-256 over the dual-tree EMST's results on a fixed battery of sets.
+"""Two SHA-256 lines: the dual-tree EMST's results on a fixed battery of sets,
+then the indexes' own answers and regions along a seeded churn stream.
 
 Run from the repository root, with no options:
 
     python tools/exactness_hash.py
 
-A change that keeps every result bit prints the same hash as its parent.
+A change that keeps every result bit prints the same two lines as its parent.
 The battery is 14 sets (uniform n=3000 at d=1, 2, 3, 6, 15 and 50; gaussian;
 150 duplicate sites; 8 gaussian blobs at sigma 1e-4; 3000 cells of a 24^3
 lattice; a +-1e-21 cluster beside two points at +-1; an offset of 1e4 at d=8;
@@ -17,8 +18,15 @@ backends, at the engine's own base capacity and at 24.  Each run hashes:
   and lists in id order, `knn_rederived` and `knn_base_cases`, and every
   round's candidates and `fallback_components`.
 
-It reads no engine attribute beyond `order`, `knn` and those counters, so
-the same file runs on any commit that has them.
+The second line hashes, on both backends at leaf capacities 20 and 4, a
+stream of inserts, deletes and `knn` queries (k of 1, 10 or 37) over 600
+gaussian points and 150 copies of 15 sites: every answer's ids and
+`float.hex()` distances, then every node's counts, region floats and leaf
+ids in pre-order once the stream ends.
+
+It reads no engine attribute beyond `order`, `knn` and those counters, and
+no node attribute beyond `walk`, the counts, `region` and `ids`, so the same
+file runs on any commit that has them.
 """
 
 from __future__ import annotations
@@ -97,6 +105,45 @@ def hash_emst(h, coords, backend: str) -> None:
     h.update(f"{el.total_weight.hex()} {rounds}".encode())
 
 
+def churn_stream(seed: int):
+    """(initial coords, [(op, arg)], coords of every id): 2 inserts, 2 deletes, 1 query per step."""
+    rng = np.random.default_rng(seed)
+    sites = rng.standard_normal((15, 3))
+    base = np.vstack((rng.standard_normal((600, 3)), sites[rng.integers(0, 15, 150)]))
+    fresh = np.where(rng.random((2 * 300, 1)) < 0.3, sites[rng.integers(0, 15, 600)], rng.standard_normal((600, 3)))
+    coords = np.vstack((base, fresh))
+    live, next_id, ops = list(range(len(base))), len(base), []
+    for step in range(300):
+        for _ in range(2):
+            ops.append(("insert", next_id))
+            live.append(next_id)
+            next_id += 1
+        for _ in range(2):
+            j = int(rng.integers(len(live)))
+            live[j], live[-1] = live[-1], live[j]
+            ops.append(("delete", live.pop()))
+        at = sites[step % 15] if step % 3 == 0 else rng.standard_normal(3)
+        ops.append(("query", (at, (1, 10, 37)[step % 3])))
+    return base, ops, coords
+
+
+def hash_index(h, backend_cls, leaf: int, stream) -> None:
+    base, ops, coords = stream
+    index = backend_cls(Dataset(base), leaf)
+    for op, arg in ops:
+        if op == "insert":
+            index.insert(Point(arg, coords[arg]))
+        elif op == "delete":
+            index.delete(arg)
+        else:
+            at, k = arg
+            h.update(" ".join(f"{i}:{dist.hex()}" for i, dist in index.knn(at, k)).encode())
+    index.audit()
+    for node in index.root.walk():
+        floats = [x for part in node.region for x in (part if isinstance(part, list) else [part])]
+        h.update(f"{node.n_live} {node.n_tomb} {' '.join(x.hex() for x in floats)} {node.ids};".encode())
+
+
 def main() -> None:
     start = time.perf_counter()
     h = hashlib.sha256()
@@ -118,7 +165,14 @@ def main() -> None:
         finally:
             emst._base_capacity = own_capacity
     print(h.hexdigest())
-    print(f"{2 * 2 * (len(sets) + 1)} runs in {time.perf_counter() - start:.1f} s", file=sys.stderr)
+    h = hashlib.sha256()
+    stream = churn_stream(24)
+    for backend, cls in BACKENDS.items():
+        for leaf in (20, 4):
+            h.update(f"churn {backend} {leaf}".encode())
+            hash_index(h, cls, leaf, stream)
+    print(h.hexdigest())
+    print(f"{2 * 2 * (len(sets) + 1)} runs and 4 streams in {time.perf_counter() - start:.1f} s", file=sys.stderr)
 
 
 if __name__ == "__main__":
