@@ -11,7 +11,9 @@ axis, so the tree does not slice an already thin axis into slabs whose balls
 stay as wide as the parent's (Omohundro, ICSI TR-89-063; Moore, UAI 2000).
 Each node keeps the region snapshot ``(center, radius)`` (the center as a
 Python float list) that k-NN, insertion and the EMST engine read; the radius
-is always a canonical-kernel distance, the value `audit` checks.  Insertion
+is always a canonical-kernel distance, the value `audit` checks.  The bound
+between two balls, `_ball_min_sq`, takes the centre distance from
+`math.dist`, which does not overflow, and squares only the gap.  Insertion
 descends toward the nearer child center, then takes every path radius it
 may inflate from one kernel call over the path's stacked centers.
 Everything else (tombstone deletion with subtree rebuilds, exact k-NN, the
@@ -113,11 +115,7 @@ def ball_min_distance(node, q) -> float:
 
 def _ball_min_sq(a, b) -> float:
     """Squared gap between two ball snapshots (center as a Python list, radius)."""
-    total = 0.0
-    for ac, bc in zip(a[0], b[0]):
-        diff = ac - bc
-        total += diff * diff
-    gap = math.sqrt(total) - a[1] - b[1]
+    gap = math.dist(a[0], b[0]) - a[1] - b[1]
     return gap * gap if gap > 0.0 else 0.0
 
 
@@ -144,6 +142,7 @@ class BallNode(IndexNode):
         self.region = (self.region[0], value)
 
     def child_for(self, c: np.ndarray) -> BallNode:
+        # not `math.dist`: its rounding differs, and so would the child near ties
         cl = c.tolist()
         dl = dr = 0.0
         for x, lc, rc in zip(cl, self.left.region[0], self.right.region[0]):

@@ -22,11 +22,16 @@ et al., "Tree-Independent Dual-Tree Algorithms" (ICML 2013):
 
 One snapshot per node serves `knn`, insertion and the EMST engine, so no
 search converts a node's region per visit.  `knn` is best-first (distance
-browsing as in Hjaltason & Samet, ACM TODS 1999): nodes leave a heap in
-order of their bound, and the search stops once the nearest bound left
-exceeds the current k-th squared distance.  The k best points so far are
-one list sorted by (squared distance, id); a leaf's points no farther than
-its last entry join it by one sort, cut back to k.
+browsing as in Hjaltason & Samet, ACM TODS 1999): it expands nodes in order
+of their bound and stops once the nearest bound left exceeds the current
+k-th squared distance.  An expanded node bounds both children; the search
+dives straight into the nearer one while no node on the heap is nearer, and
+pushes a child only if the k-th distance does not already prune it, so the
+nodes bounded and the leaves read are those of the plain heap search with
+half or less of its heap traffic.  The k best points so far are one list
+sorted by (squared distance, id); a leaf's points no farther than its last
+entry join it by one sort, cut back to k.  A leaf keeps its points'
+coordinates once a search has read them, until its ids change.
 
 No whole-tree pass recurses, since inserts never rebalance and a stream
 along a line grows a tree a thousand levels deep.  `IndexNode.walk` yields
@@ -68,7 +73,9 @@ class IndexNode:
     """One index node; a leaf iff `ids` is not None.
 
     `region` is the plain-Python snapshot of the node's bound that the
-    subclass defines and `_region_min_sq` reads.
+    subclass defines and `_region_min_sq` reads.  `_arr` is a leaf's
+    points' coordinates as `knn` last read them, or None; whatever changes
+    `ids` resets it.
     """
 
     __slots__ = (
@@ -98,11 +105,6 @@ class IndexNode:
     @property
     def is_leaf(self) -> bool:
         return self.ids is not None
-
-    def ids_array(self) -> np.ndarray:
-        if self._arr is None:
-            self._arr = np.array(self.ids, dtype=np.intp)
-        return self._arr
 
     def walk(self):
         """This subtree's nodes in pre-order, left before right, without recursion."""
@@ -293,31 +295,48 @@ class SpatialIndex:
 
         target = self._point_region(c.tolist())
         min_sq = self._region_min_sq
-        coords = self._coords
         best: list[tuple[float, int]] = []  # the k best (squared distance, id) so far, ascending
         worst = math.inf  # best[-1][0] once best holds k points
-        frontier = [(0.0, 0, self.root)]  # (bound, push order, node), nearest bound first
+        frontier: list = []  # (bound, push order, node) set aside, nearest bound first
         pushed = 0
+        node = self.root
         with np.errstate(over="ignore"):  # an overflow reads inf; see the check below
-            while frontier:
+            while True:
+                ids = node.ids
+                if ids is None:
+                    # bound the live children, the nearer as `near`; `worst` only
+                    # shrinks, so a child it prunes now is never pushed, and `near`
+                    # is entered at once unless a node set aside is nearer
+                    near, far = node.left, node.right
+                    dn = min_sq(near.region, target) if near.n_live else math.inf
+                    df = min_sq(far.region, target) if far.n_live else math.inf
+                    if df < dn or not near.n_live:
+                        near, far, dn, df = far, near, df, dn
+                    if dn * (1.0 - _PRUNE_EPS) <= worst:
+                        if far.n_live and df * (1.0 - _PRUNE_EPS) <= worst:
+                            pushed += 1
+                            heapq.heappush(frontier, (df, pushed, far))
+                        if not frontier or dn <= frontier[0][0]:
+                            node = near
+                            continue
+                        pushed += 1
+                        heapq.heappush(frontier, (dn, pushed, near))
+                else:
+                    pts = node._arr  # the leaf's points, cached until its ids change
+                    if pts is None:
+                        pts = node._arr = self._coords[ids]
+                    # only points no farther than the k-th best can enter the answer;
+                    # one sort under (squared distance, id) merges them into it
+                    close = [t for t in zip(sq_dists(pts, c).tolist(), ids) if t[0] <= worst]
+                    if close:
+                        best = sorted(best + close)[:k]
+                        if len(best) == k:
+                            worst = best[-1][0]
+                if not frontier:
+                    break
                 dist, _, node = heapq.heappop(frontier)
                 if dist * (1.0 - _PRUNE_EPS) > worst:
                     break  # every node left is at least this far
-                ids = node.ids
-                if ids is None:
-                    for child in (node.left, node.right):
-                        if child.n_live:
-                            pushed += 1
-                            heapq.heappush(frontier, (min_sq(child.region, target), pushed, child))
-                    continue
-                sqs = sq_dists(coords[node.ids_array()], c).tolist()
-                # only points no farther than the k-th best can enter the answer;
-                # one sort under (squared distance, id) merges them into it
-                near = [t for t in zip(sqs, ids) if t[0] <= worst]
-                if near:
-                    best = sorted(best + near)[:k]
-                    if len(best) == k:
-                        worst = best[-1][0]
 
         if best[-1][0] == math.inf:
             raise ValueError(

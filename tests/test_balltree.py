@@ -1,4 +1,5 @@
 
+import math
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from emstbench import (
     dual_tree_boruvka,
     kruskal_mst,
 )
+from emstbench.balltree import _ball_min_sq
 from emstbench.core import sq_dists
 from conftest import brute_knn, random_dataset
 
@@ -142,6 +144,18 @@ class TestBallMinDistance:
         node = make_tree([[0.0, 0.0]]).root
         node.radius = 2.0
         assert ball_min_distance(node, [1.0, 0.0]) == 0.0
+
+    @pytest.mark.parametrize("r", [0.0, 1.5, 4.75])
+    def test_three_four_five(self, r):
+        node = make_tree([[0.0, 0.0]]).root
+        node.radius = r
+        assert ball_min_distance(node, [3.0, 4.0]) == 5.0 - r
+
+    def test_centre_distance_does_not_overflow(self):
+        # the squared centre distance, 4e340, overflows; the gap it bounds is negative
+        assert _ball_min_sq(([0.0, 0.0], 1.5e170), ([2e170, 0.0], 1.5e170)) == 0.0
+        # a gap of 1e200 is finite, but its square is not
+        assert _ball_min_sq(([0.0, 0.0], 0.0), ([1e200, 0.0], 0.0)) == math.inf
 
     def test_dimension_mismatch(self):
         node = make_tree([[0.0, 0.0]]).root

@@ -1,4 +1,6 @@
 import copy
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emstbench import BallTree, BoundingBox, Dataset, KdTree, Point, box_min_distance
+from emstbench import index as index_module
 from emstbench.core import sq_dists
 from conftest import brute_knn, random_dataset
 
@@ -374,6 +377,85 @@ class TestKnnMerge:
                 for k in (1, 7, 20, len(live) - 1, len(live), len(live) + 5, 1000):
                     assert tree.knn(q, k) == brute_knn(tree.coords, live, q, k)
             tree.audit()
+
+
+def heap_search_work(tree, q, k):
+    """The bounds computed and leaves read by a plain best-first search that
+    pushes every live child and stops at the first node beyond the k-th best."""
+    target, order, bound = tree._point_region(list(q)), itertools.count(), type(tree)._region_min_sq
+    frontier, best, worst, bounds, leaves = [(0.0, 0, tree.root)], [], math.inf, 0, 0
+    while frontier:
+        dist, _, node = heapq.heappop(frontier)
+        if dist * (1.0 - index_module._PRUNE_EPS) > worst:
+            break
+        if node.is_leaf:
+            leaves += 1
+            sqs = sq_dists(tree.coords[node.ids], np.asarray(q)).tolist()
+            best = sorted(best + list(zip(sqs, node.ids)))[:k]
+            worst = best[-1][0] if len(best) == k else math.inf
+            continue
+        for child in (node.left, node.right):
+            if child.n_live:
+                bounds += 1
+                heapq.heappush(frontier, (bound(child.region, target), next(order), child))
+    return bounds, leaves
+
+
+class TestKnnSearch:
+    """The search dives into the nearer live child, sets a child aside only while
+    `worst` keeps it, and reads each leaf's points from a cached copy."""
+
+    @both_indexes
+    @pytest.mark.parametrize("leaf_capacity", [1, 3, 20])
+    def test_bounds_and_leaves_are_those_of_a_plain_heap_search(self, index_cls, leaf_capacity, monkeypatch):
+        work = {"bounds": 0, "leaves": 0}
+
+        def counted(key, fn):
+            def call(*args):
+                work[key] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(index_module, "sq_dists", counted("leaves", sq_dists))
+        rng = np.random.default_rng(leaf_capacity)
+        lattice = [[x, y, 0.0] for x in range(-4, 5) for y in range(-4, 5)]  # ties at every ring
+        coords = np.vstack((lattice, rng.standard_normal((150, 3))))
+        for tree, live in churned(index_cls, coords, leaf_capacity, leaf_capacity):
+            tree._region_min_sq = counted("bounds", type(tree)._region_min_sq)
+            for q in [[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], *rng.standard_normal((4, 3)), [30.0, -5.0, 1.0]]:
+                for k in (1, 4, 10, 50):
+                    work.update(bounds=0, leaves=0)
+                    assert tree.knn(q, k) == brute_knn(tree.coords, live, q, k)
+                    assert (work["bounds"], work["leaves"]) == heap_search_work(tree, q, k)
+
+    @both_indexes
+    @pytest.mark.parametrize("leaf_capacity", [1, 3, 20])
+    def test_a_mutation_drops_the_leaf_point_cache(self, index_cls, leaf_capacity):
+        rng = np.random.default_rng(leaf_capacity)
+        tree = make_tree(rng.random((60, 2)), leaf_capacity, index_cls)
+        live = list(range(60))
+        for x in range(0, 60, 7):
+            # queries next to x fill its leaf's cache (k = all of them fills every leaf's)
+            q = tree.coords[x] + 1e-3
+            for k in (1, 5, len(live)):
+                assert tree.knn(q, k) == brute_knn(tree.coords, live, q, k)
+            tree.delete(x)
+            far = np.array([40.0 + x, -30.0])
+            tree.insert(Point(x, far))
+            for k in (1, 5, len(live)):
+                assert tree.knn(far, k) == brute_knn(tree.coords, live, far, k)
+        tree.audit()
+
+    @both_indexes
+    @pytest.mark.parametrize("leaf_capacity", [1, 3])
+    def test_far_queries_and_every_k_around_empty_leaves(self, index_cls, leaf_capacity):
+        # queries 1e3 outside the data: every bound is large while `worst` is inf
+        rng = np.random.default_rng(leaf_capacity)
+        *_, (tree, live) = churned(index_cls, rng.standard_normal((120, 3)), leaf_capacity, 2)
+        assert any(node.is_leaf and not node.n_live for node in tree.root.walk())
+        for q in (np.full(3, 1e3), np.array([-1e3, 0.0, 0.5]), np.array([0.0, 1e3, -1e3])):
+            for k in range(1, len(live) + 3):
+                assert tree.knn(q, k) == brute_knn(tree.coords, live, q, k)
 
 
 @both_indexes
