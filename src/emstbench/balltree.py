@@ -9,13 +9,14 @@ half-extent along the cut axis plus the node's squared half-extents on every
 other axis.  A split therefore shrinks the child's whole ball, not just one
 axis, so the tree does not slice an already thin axis into slabs whose balls
 stay as wide as the parent's (Omohundro, ICSI TR-89-063; Moore, UAI 2000).
-Each node keeps the region snapshot ``(center, radius)`` (the center as a
-Python float list) that k-NN, insertion and the EMST engine read; the radius
-is always a canonical-kernel distance, the value `audit` checks.  The bound
-between two balls, `_ball_min_sq`, takes the centre distance from
-`math.dist`, which does not overflow, and squares only the gap.  Insertion
-descends toward the nearer child center, then takes every path radius it
-may inflate from one kernel call over the path's stacked centers.
+Each node stores its ball once, as the region snapshot ``(center, radius)``
+(the center as a Python float list) that k-NN, insertion and the EMST engine
+read; the radius is always a canonical-kernel distance, the value `audit`
+checks.  The bound between two balls, `_ball_min_sq`, takes the centre
+distance from `math.dist`, which does not overflow, and squares only the
+gap.  Insertion descends toward the nearer child center, then takes every
+path radius it may inflate from one kernel call over the path's stacked
+centers.
 Everything else (tombstone deletion with subtree rebuilds, exact k-NN, the
 shared audit checks) lives in `index.SpatialIndex`, so the ball-tree and
 the kd-tree differ only in their bounds.
@@ -122,24 +123,20 @@ def _ball_min_sq(a, b) -> float:
 class BallNode(IndexNode):
     """One ball-tree node: a center and a radius covering its live points.
 
-    `center` is an array for the canonical kernel; the region snapshot
-    ``(center as a list, radius)`` holds the radius, read and set through
-    the `radius` property.
+    Built as ``BallNode((center as a list, radius))``; that region snapshot
+    is the ball's only copy, and the read-only `center` (a fresh array) and
+    `radius` properties read it.
     """
 
-    __slots__ = ("center",)
+    __slots__ = ()
 
-    def __init__(self, center: np.ndarray, radius: float):
-        super().__init__((center.tolist(), radius))
-        self.center = center
+    @property
+    def center(self) -> np.ndarray:
+        return np.array(self.region[0])
 
     @property
     def radius(self) -> float:
         return self.region[1]
-
-    @radius.setter
-    def radius(self, value: float) -> None:
-        self.region = (self.region[0], value)
 
     def child_for(self, c: np.ndarray) -> BallNode:
         # not `math.dist`: its rounding differs, and so would the child near ties
@@ -151,7 +148,7 @@ class BallNode(IndexNode):
         return self.left if dl <= dr else self.right
 
     def empty_copy(self) -> BallNode:
-        return BallNode(self.center, 0.0)
+        return BallNode((self.region[0], 0.0))
 
 
 class BallTree(SpatialIndex):
@@ -160,7 +157,7 @@ class BallTree(SpatialIndex):
     def _make_node(self, ids: np.ndarray) -> BallNode:
         pts = self._coords[ids]
         center = pts.mean(axis=0)
-        return BallNode(center, math.sqrt(float(sq_dists(pts, center).max())))
+        return BallNode((center.tolist(), math.sqrt(float(sq_dists(pts, center).max()))))
 
     def _split(self, node: BallNode, ids: np.ndarray):
         choice = choose_split(ids, self._coords)
@@ -174,16 +171,9 @@ class BallTree(SpatialIndex):
 
     @staticmethod
     def _grow_path(path: list, c: np.ndarray) -> None:
-        leaf = path[-1]
-        if leaf.n_live == 1:
-            leaf.center = c.copy()
-            leaf.region = (c.tolist(), 0.0)
-            path = path[:-1]
-        if not path:
-            return
         # (a - b)^2 == (b - a)^2 and sqrt rounds correctly, so each radius is
         # the canonical distance from its own center, as `audit` checks
-        dists = np.sqrt(sq_dists(np.array([node.center for node in path]), c)).tolist()
+        dists = np.sqrt(sq_dists(np.array([node.region[0] for node in path]), c)).tolist()
         for node, dist in zip(path, dists):
             if dist > node.region[1]:
                 node.region = (node.region[0], dist)

@@ -259,7 +259,7 @@ def draw_coords(rng: np.random.Generator, count: int, d: int, distribution: str)
     return rng.standard_normal((count, d))
 
 
-def load_dataset(path, format: str = "csv") -> Dataset:
+def load_dataset(path) -> Dataset:
     """Load a dataset from a CSV file: one point per row, comma-separated.
 
     A single leading non-numeric row is treated as a header and skipped.
@@ -267,8 +267,6 @@ def load_dataset(path, format: str = "csv") -> Dataset:
     first data row and ids are assigned in row order.  A ragged row, a
     non-numeric field or a NaN/infinite value raises ParseError naming it.
     """
-    if format != "csv":
-        raise ValueError(f"unsupported format {format!r}")
     # "utf-8-sig" drops a byte-order mark, which would make row 1 a header
     with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().split("\n")

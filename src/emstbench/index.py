@@ -9,12 +9,13 @@ et al., "Tree-Independent Dual-Tree Algorithms" (ICML 2013):
 
 * the index: `_make_node(ids)` (a node bounding those points), `_split(node,
   ids)` (the two child id sets), `_grow_path(path, c)` (grow every region on
-  an insert's root-to-leaf path to take c in, in one pass; a leaf whose only
-  point is c takes c as its region), `_audit_region(node, live, parts)` (its
-  own audit checks on its live ids and its children's), `_region_min_sq(a,
-  b)` (squared lower bound between two region snapshots, in plain Python
-  floats) and `_point_region(c)` (a point as a degenerate snapshot, so one
-  bound serves node-to-point and node-to-node);
+  a nonempty prefix of an insert's root-to-leaf path to take c in, in one
+  pass), `_audit_region(node, live, parts)` (its own audit checks on its
+  live ids and its children's), `_region_min_sq(a, b)` (squared lower bound between two
+  region snapshots, in plain Python floats) and `_point_region(c)` (a point
+  as a degenerate snapshot, so one bound serves node-to-point and
+  node-to-node; an insert into a leaf that deletes emptied restarts the
+  leaf's region from it and leaves that leaf off the path it grows);
 * the node: `region` (its snapshot, kept current by every change),
   `child_for(c)` (the child an inserted point descends into) and
   `empty_copy()` (the empty leaf that replaces a subtree whose points are
@@ -73,7 +74,10 @@ class IndexNode:
     """One index node; a leaf iff `ids` is not None.
 
     `region` is the plain-Python snapshot of the node's bound that the
-    subclass defines and `_region_min_sq` reads.  `_arr` is a leaf's
+    subclass defines and `_region_min_sq` reads; it is the only place the
+    node's geometry is stored.  `_parent` is a weak reference to the parent,
+    or `_no_parent` at a root, and is called to read it: a strong child ->
+    parent link would make every tree a reference cycle.  `_arr` is a leaf's
     points' coordinates as `knn` last read them, or None; whatever changes
     `ids` resets it.
     """
@@ -83,8 +87,6 @@ class IndexNode:
     )
 
     def __init__(self, region):
-        # a weak reference to the parent, or `_no_parent` for a root: a strong
-        # child -> parent link would make every tree a reference cycle
         self._parent = _no_parent
         self.left = None
         self.right = None
@@ -93,14 +95,6 @@ class IndexNode:
         self.n_tomb = 0
         self._arr = None
         self.region = region
-
-    @property
-    def parent(self) -> IndexNode | None:
-        return self._parent()
-
-    @parent.setter
-    def parent(self, node: IndexNode | None) -> None:
-        self._parent = _no_parent if node is None else weakref.ref(node)
 
     @property
     def is_leaf(self) -> bool:
@@ -189,7 +183,7 @@ class SpatialIndex:
             node.left, node.right = self._make_node(left_ids), self._make_node(right_ids)
             for child, child_ids in ((node.left, left_ids), (node.right, right_ids)):
                 child.n_live = len(child_ids)
-                child.parent = node
+                child._parent = weakref.ref(node)
                 stack.append((child, child_ids))
         return root
 
@@ -211,7 +205,12 @@ class SpatialIndex:
             node = node.child_for(c)
             node.n_live += 1
             path.append(node)
-        self._grow_path(path, c)
+        if node.n_live == 1:
+            # an emptied leaf's region is stale: it restarts as the point itself
+            node.region = self._point_region(c.tolist())
+            path.pop()
+        if path:
+            self._grow_path(path, c)
 
         node.ids.append(p.id)
         node._arr = None
@@ -262,8 +261,8 @@ class SpatialIndex:
             fresh = old.empty_copy()
             fresh.ids = []
         removed_tombs = old.n_tomb
-        parent = old.parent
-        fresh.parent = parent
+        fresh._parent = old._parent
+        parent = fresh._parent()
         if parent is None:
             self.root = fresh
         elif parent.left is old:
@@ -272,7 +271,7 @@ class SpatialIndex:
             parent.right = fresh
         while parent is not None:
             parent.n_tomb -= removed_tombs
-            parent = parent.parent
+            parent = parent._parent()
 
     # -- search -------------------------------------------------------------
 
@@ -372,7 +371,7 @@ class SpatialIndex:
                     seen[i] = node
                 continue
             left, right = node.left, node.right
-            if left.parent is not node or right.parent is not node:
+            if left._parent() is not node or right._parent() is not node:
                 raise AssertionError("broken parent link")
             if node.n_live != left.n_live + right.n_live:
                 raise AssertionError("internal live count != sum of children")

@@ -63,8 +63,8 @@ class KdNode(IndexNode):
     """One kd-tree node: a bounding box and, when internal, its split plane.
 
     The box is stored once, as the region snapshot ``(mins, maxs)`` of
-    Python float lists; the `mins` / `maxs` properties read it as arrays,
-    and `maxs` also sets it.
+    Python float lists; the read-only `mins` / `maxs` properties give it
+    as arrays.
     """
 
     __slots__ = ("split_dim", "split_value")
@@ -81,10 +81,6 @@ class KdNode(IndexNode):
     @property
     def maxs(self) -> np.ndarray:
         return np.array(self.region[1])
-
-    @maxs.setter
-    def maxs(self, value) -> None:
-        self.region = (self.region[0], np.asarray(value, float).tolist())
 
     def child_for(self, c: np.ndarray) -> KdNode:
         return self.left if c[self.split_dim] <= self.split_value else self.right
@@ -113,11 +109,6 @@ class KdTree(SpatialIndex):
     @staticmethod
     def _grow_path(path: list, c: np.ndarray) -> None:
         point = c.tolist()
-        leaf = path[-1]
-        if leaf.n_live == 1:
-            # two lists: later inserts widen mins and maxs in place
-            leaf.region = (point, list(point))
-            path = path[:-1]
         for node in path:
             mins, maxs = node.region
             for k, x in enumerate(point):
@@ -130,7 +121,8 @@ class KdTree(SpatialIndex):
 
     @staticmethod
     def _point_region(c: list) -> tuple:
-        return c, c
+        # two lists: inserts widen a leaf's mins and maxs in place
+        return c, list(c)
 
     def _audit_region(self, node: KdNode, live: np.ndarray, parts: tuple) -> None:
         pts = self._coords[live]

@@ -137,18 +137,18 @@ class TestBuild:
 class TestBallMinDistance:
     def test_outside_ball(self):
         node = make_tree([[0.0, 0.0]]).root
-        node.radius = 1.0
+        node.region = (node.region[0], 1.0)
         assert ball_min_distance(node, [3.0, 0.0]) == 2.0
 
     def test_inside_ball_is_zero(self):
         node = make_tree([[0.0, 0.0]]).root
-        node.radius = 2.0
+        node.region = (node.region[0], 2.0)
         assert ball_min_distance(node, [1.0, 0.0]) == 0.0
 
     @pytest.mark.parametrize("r", [0.0, 1.5, 4.75])
     def test_three_four_five(self, r):
         node = make_tree([[0.0, 0.0]]).root
-        node.radius = r
+        node.region = (node.region[0], r)
         assert ball_min_distance(node, [3.0, 4.0]) == 5.0 - r
 
     def test_centre_distance_does_not_overflow(self):
@@ -208,7 +208,7 @@ def test_audit_catches_a_shrunk_radius(rng):
     leaf = tree._leaf_of[0]
     tree.audit()
     assert leaf.radius > 0.0
-    leaf.radius *= 0.5  # the leaf's farthest point now lies outside its ball
+    leaf.region = (leaf.region[0], 0.5 * leaf.radius)  # the leaf's farthest point now lies outside its ball
     with pytest.raises(AssertionError, match="escapes"):
         tree.audit()
 

@@ -197,10 +197,6 @@ class TestCsvIO:
         back = load_dataset(path)
         assert np.array_equal(back.coords, ds.coords)
 
-    def test_unsupported_format(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            load_dataset(tmp_path / "x.arff", format="arff")
-
 
 class TestEdges:
     def test_edge_rejects_bad_orientation(self):

@@ -250,7 +250,8 @@ def test_audit_catches_a_shrunk_box(rng):
     while not leaf.is_leaf:
         leaf = leaf.left
     tree.audit()
-    leaf.maxs = leaf.maxs - 1e-6  # a point on the box's upper face now escapes it
+    mins, maxs = leaf.region
+    leaf.region = (mins, [x - 1e-6 for x in maxs])  # a point on the box's upper face now escapes it
     with pytest.raises(AssertionError, match="escapes"):
         tree.audit()
 
@@ -489,6 +490,73 @@ def test_insert_grows_each_path_region_to_the_canonical_bound(index_cls):
         next_id += 1
     tree.audit()
     assert alone
+
+
+class TestRefillEmptiedLeaves:
+    """A leaf that deletes emptied restarts from the first point inserted into it."""
+
+    @staticmethod
+    def insert_into(tree, i, c):
+        """Insert c as id i; if it lands in an emptied leaf, check that the
+        leaf's region restarted as c, and report that it did."""
+        leaf = tree.root
+        while not leaf.is_leaf:
+            leaf = leaf.child_for(c)
+        emptied = leaf.n_live == 0
+        tree.insert(Point(i, c))
+        if emptied:
+            point = c.tolist()
+            if isinstance(tree, KdTree):
+                assert leaf.region == (point, point)
+                assert leaf.region[0] is not leaf.region[1]  # inserts widen each in place
+            else:
+                assert leaf.region == (point, 0.0)
+                assert leaf.center.tolist() == point
+        return emptied
+
+    @staticmethod
+    def check_answers(tree, live, rng):
+        tree.audit()
+        for q in rng.standard_normal((10, 3)) * 2.0:
+            for k in (1, 7, len(live) + 2):
+                assert tree.knn(q, k) == brute_knn(tree.coords, live, q, k)
+
+    @both_indexes
+    @pytest.mark.parametrize("leaf_capacity", [1, 20])
+    def test_the_root_emptied_and_refilled(self, index_cls, leaf_capacity):
+        rng = np.random.default_rng(leaf_capacity)
+        n = leaf_capacity  # one leaf's worth: the root is the leaf deletes empty
+        tree = make_tree(rng.standard_normal((n, 3)), leaf_capacity, index_cls)
+        for i in rng.permutation(n).tolist():
+            tree.delete(i)
+        assert tree.root.is_leaf and tree.root.n_live == 0
+        live = []
+        for i in range(n, n + 30):
+            assert self.insert_into(tree, i, rng.standard_normal(3)) == (i == n)
+            live.append(i)
+            self.check_answers(tree, live, rng)
+
+    @both_indexes
+    @pytest.mark.parametrize("leaf_capacity", [1, 20])
+    def test_a_subtree_emptied_and_refilled(self, index_cls, leaf_capacity):
+        rng = np.random.default_rng(leaf_capacity)
+        coords = rng.standard_normal((300, 3))
+        tree = make_tree(coords, leaf_capacity, index_cls)
+        gone = tree.root.left.collect_live_ids()
+        for i in rng.permutation(gone).tolist():
+            tree.delete(i)
+        assert tree.root.left.is_leaf and tree.root.left.n_live == 0
+        live = tree.live_ids()
+        # the stale region's first coordinates (kd: the box's mins; ball: its
+        # center) descend into the emptied left child
+        c = np.array(tree.root.left.region[0])
+        assert self.insert_into(tree, 300, c)
+        live.append(300)
+        self.check_answers(tree, live, rng)
+        for i, x in enumerate(coords[gone], start=301):
+            self.insert_into(tree, i, x)
+            live.append(i)
+        self.check_answers(tree, live, rng)
 
 
 @st.composite
