@@ -147,9 +147,6 @@ class BallNode(IndexNode):
             dr += (x - rc) * (x - rc)
         return self.left if dl <= dr else self.right
 
-    def empty_copy(self) -> BallNode:
-        return BallNode((self.region[0], 0.0))
-
 
 class BallTree(SpatialIndex):
     """Ball-tree over a dataset; same mutation and search contract as KdTree."""

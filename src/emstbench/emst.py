@@ -91,9 +91,9 @@ A base case has a fixed cost in small numpy calls that can far exceed its
 kernel's, so the traversal fuses sibling base nodes.  The engine's rows are
 the index's live ids in pre-order, left before right, so each node's points
 are one run of rows, in the index's order, not sorted by id.  A base parent
-is an internal node whose two children are non-empty base nodes; like a base
-node, it holds only its row range, by which a base case slices the engine's
-row arrays of ids, components and block copies.  When the traversal pops a
+is an internal node whose two children are base nodes; like a base node,
+it holds only its row range, by which a base case slices the engine's row
+arrays of ids, components and block copies.  When the traversal pops a
 cross pair whose sides are base nodes or base parents, at least one a base
 parent, and none of the 2 or 4 child pairs it would push is pruned, it runs
 one base case over the whole pair and then lowers the bounds of every base
@@ -282,7 +282,7 @@ class _NodeState:
     """Per-node traversal state: static geometry caches plus per-round marks.
 
     Every node is marked with `comp` and `bound`.  Base nodes and base parents,
-    internal nodes whose two children are non-empty base nodes, hold blocks:
+    internal nodes whose two children are base nodes, hold blocks:
     `rows` is their run of the index's pre-order live ids, the engine's row
     order (else None).  A block's ids, components and copies are that slice
     of the engine's row arrays; rows are not sorted by id.  A base parent's
@@ -386,7 +386,7 @@ class _DualTreeEngine:
             i, node, start = stack.pop()
             ls = nodes[i].left = make(node.left, i, start)
             rs = nodes[i].right = make(node.right, i, start + ls.n_live)
-            if ls.base and rs.base and ls.n_live and rs.n_live:
+            if ls.base and rs.base:
                 nodes[i].rows = slice(start, start + node.n_live)  # a base parent
         return nodes
 
@@ -412,7 +412,7 @@ class _DualTreeEngine:
         np.multiply(ref[:, :-2], -2.0, out=query[:, :-2])
         query[:, -2], query[:, -1] = 1.0, ref[:, -2]
         for state in self.nodes:
-            if state.rows is not None and state.n_live:  # the traversal skips empty nodes
+            if state.rows is not None:
                 state.max_sqn = float(sqn[state.rows].max())
 
     def run_round(self, labels: np.ndarray):
@@ -496,7 +496,7 @@ class _DualTreeEngine:
                 ls, rs = state.left, state.right
                 state.comp = ls.comp if ls.comp >= 0 and ls.comp == rs.comp else -1
                 state.bound = max(ls.bound, rs.bound)
-            elif state.n_live:
+            else:
                 roots = own[state.rows]
                 state.comp = int(roots[0]) if (roots == roots[0]).all() else -1
                 state.bound = float(bound[roots].max())
@@ -723,10 +723,10 @@ class _DualTreeEngine:
 def _pruned(dmin: float, a: _NodeState, b: _NodeState) -> bool:
     """The traversal's test of a node pair at region distance `dmin`.
 
-    A pair is pruned when a side is empty, when both sides sit inside one
-    component, or when the bound exceeds both sides' node bounds.
+    A pair is pruned when both sides sit inside one component, or when the
+    bound exceeds both sides' node bounds.
     """
-    if a.n_live == 0 or b.n_live == 0 or (a.comp >= 0 and a.comp == b.comp):
+    if a.comp >= 0 and a.comp == b.comp:
         return True
     limit = dmin * _PRUNE_FACTOR
     return limit > a.bound and limit > b.bound
@@ -787,6 +787,8 @@ def find_component_neighbors(index, dsu: DisjointSet) -> dict[int, Edge]:
     """
     if dsu.component_count < 2:
         raise ValueError("need at least 2 components to have outgoing edges")
+    if index.size == 0:
+        return {}  # the engine walks trees whose every node holds a point
     n = len(dsu.parent)
     engine = getattr(index, "_emst_engine", None)
     if engine is None or engine.token != index._mutations:

@@ -9,17 +9,14 @@ et al., "Tree-Independent Dual-Tree Algorithms" (ICML 2013):
 
 * the index: `_make_node(ids)` (a node bounding those points), `_split(node,
   ids)` (the two child id sets), `_grow_path(path, c)` (grow every region on
-  a nonempty prefix of an insert's root-to-leaf path to take c in, in one
-  pass), `_audit_region(node, live, parts)` (its own audit checks on its
-  live ids and its children's), `_region_min_sq(a, b)` (squared lower bound between two
-  region snapshots, in plain Python floats) and `_point_region(c)` (a point
-  as a degenerate snapshot, so one bound serves node-to-point and
-  node-to-node; an insert into a leaf that deletes emptied restarts the
-  leaf's region from it and leaves that leaf off the path it grows);
-* the node: `region` (its snapshot, kept current by every change),
-  `child_for(c)` (the child an inserted point descends into) and
-  `empty_copy()` (the empty leaf that replaces a subtree whose points are
-  all deleted).
+  an insert's root-to-leaf path to take c in, in one pass),
+  `_audit_region(node, live, parts)` (its own audit checks on its live ids
+  and its children's), `_region_min_sq(a, b)` (squared lower bound between
+  two region snapshots, in plain Python floats) and `_point_region(c)` (a
+  point as a degenerate snapshot, so one bound serves node-to-point and
+  node-to-node; an insert into an emptied index restarts the root from it);
+* the node: `region` (its snapshot, kept current by every change) and
+  `child_for(c)` (the child an inserted point descends into).
 
 One snapshot per node serves `knn`, insertion and the EMST engine, so no
 search converts a node's region per visit.  `knn` is best-first (distance
@@ -42,7 +39,10 @@ stored counts against the sums of its children's stored counts.
 
 Deletion is lazy: the id is dropped from its leaf and counted as a
 tombstone; once tombstones outnumber live points anywhere on the
-root-to-leaf path, that whole subtree is rebuilt from its live points.
+root-to-leaf path, that whole subtree is rebuilt from its live points, and
+one left with no live point leaves the tree, its sibling taking the parent's
+place (partial rebuilding; Overmars, LNCS 156, 1983).  So no node below the
+root is ever empty, and neither `knn` nor the EMST engine tests for one.
 Regions only ever grow between rebuilds, so they stay valid (if loose)
 under any mutation sequence.  A child refers to its parent weakly, so a
 dropped index is freed by reference counting alone.
@@ -71,7 +71,7 @@ def _no_parent() -> None:
 
 
 class IndexNode:
-    """One index node; a leaf iff `ids` is not None.
+    """One index node; a leaf iff `ids` is not None, and empty only at a root.
 
     `region` is the plain-Python snapshot of the node's bound that the
     subclass defines and `_region_min_sq` reads; it is the only place the
@@ -205,12 +205,11 @@ class SpatialIndex:
             node = node.child_for(c)
             node.n_live += 1
             path.append(node)
-        if node.n_live == 1:
-            # an emptied leaf's region is stale: it restarts as the point itself
-            node.region = self._point_region(c.tolist())
-            path.pop()
-        if path:
+        if node.n_live > 1:
             self._grow_path(path, c)
+        else:
+            # only an emptied root is empty; its region is stale and restarts as the point
+            node.region = self._point_region(c.tolist())
 
         node.ids.append(p.id)
         node._arr = None
@@ -254,15 +253,17 @@ class SpatialIndex:
         self._coords[point_id] = c
 
     def _replace_subtree(self, old: IndexNode, live: np.ndarray) -> None:
-        """Rebuild `old` from `live` ids and splice the result into its place."""
+        """Rebuild `old` from `live` ids in its place, or splice it out if `live` is empty."""
+        removed_tombs = old.n_tomb
+        parent = old._parent()
         if len(live):
             fresh = self._build(live)
-        else:
-            fresh = old.empty_copy()
-            fresh.ids = []
-        removed_tombs = old.n_tomb
+        elif parent is None:  # an emptied root is a leaf, since each child holds a point
+            fresh, old.n_tomb = old, 0
+        else:  # the sibling takes the parent's place; the tombstones removed are old's
+            fresh = parent.right if parent.left is old else parent.left
+            old, parent = parent, parent._parent()
         fresh._parent = old._parent
-        parent = fresh._parent()
         if parent is None:
             self.root = fresh
         elif parent.left is old:
@@ -303,16 +304,16 @@ class SpatialIndex:
             while True:
                 ids = node.ids
                 if ids is None:
-                    # bound the live children, the nearer as `near`; `worst` only
+                    # bound the children, the nearer as `near`; `worst` only
                     # shrinks, so a child it prunes now is never pushed, and `near`
                     # is entered at once unless a node set aside is nearer
                     near, far = node.left, node.right
-                    dn = min_sq(near.region, target) if near.n_live else math.inf
-                    df = min_sq(far.region, target) if far.n_live else math.inf
-                    if df < dn or not near.n_live:
+                    dn = min_sq(near.region, target)
+                    df = min_sq(far.region, target)
+                    if df < dn:
                         near, far, dn, df = far, near, df, dn
                     if dn * (1.0 - _PRUNE_EPS) <= worst:
-                        if far.n_live and df * (1.0 - _PRUNE_EPS) <= worst:
+                        if df * (1.0 - _PRUNE_EPS) <= worst:
                             pushed += 1
                             heapq.heappush(frontier, (df, pushed, far))
                         if not frontier or dn <= frontier[0][0]:
@@ -351,8 +352,9 @@ class SpatialIndex:
         """Walk the whole tree and verify every structural invariant.
 
         Raises AssertionError on the first violation; used by tests after
-        mutation sequences.  Counts, parent links, leaf capacity and the id
-        index are checked here; `_audit_region` checks each node's region.
+        mutation sequences.  Counts, nonempty non-root nodes, parent links,
+        leaf capacity and the id index are checked here; `_audit_region`
+        checks each node's region.
         """
         seen: dict[int, IndexNode] = {}
         below: dict[IndexNode, np.ndarray] = {}  # a subtree's live ids, until its parent joins them
@@ -373,6 +375,8 @@ class SpatialIndex:
             left, right = node.left, node.right
             if left._parent() is not node or right._parent() is not node:
                 raise AssertionError("broken parent link")
+            if not (left.n_live and right.n_live):
+                raise AssertionError("a node below the root holds no live point")
             if node.n_live != left.n_live + right.n_live:
                 raise AssertionError("internal live count != sum of children")
             if node.n_tomb != left.n_tomb + right.n_tomb:

@@ -85,9 +85,6 @@ class KdNode(IndexNode):
     def child_for(self, c: np.ndarray) -> KdNode:
         return self.left if c[self.split_dim] <= self.split_value else self.right
 
-    def empty_copy(self) -> KdNode:
-        return KdNode(*self.region)
-
 
 class KdTree(SpatialIndex):
     """Kd-tree over a dataset, supporting insert, delete, and exact k-NN."""

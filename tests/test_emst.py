@@ -165,6 +165,16 @@ class TestFindComponentNeighbors:
         with pytest.raises(ValueError, match="disjoint set"):
             find_component_neighbors(tree, DisjointSet(10))
 
+    @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
+    @pytest.mark.parametrize("leaf_capacity", [1, 20])
+    def test_an_index_with_every_point_deleted_has_no_edges(self, rng, backend_cls, leaf_capacity):
+        tree = backend_cls(random_dataset(rng, 30, 3), leaf_capacity)
+        assert len(find_component_neighbors(tree, DisjointSet(30))) == 30
+        for i in rng.permutation(30).tolist():
+            tree.delete(i)
+        assert tree.size == 0
+        assert find_component_neighbors(tree, DisjointSet(30)) == {}
+
     def test_candidates_follow_tree_mutations(self, rng):
         """Deleting points invalidates the cached traversal state."""
         n = 40

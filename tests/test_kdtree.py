@@ -449,11 +449,21 @@ class TestKnnSearch:
 
     @both_indexes
     @pytest.mark.parametrize("leaf_capacity", [1, 3])
-    def test_far_queries_and_every_k_around_empty_leaves(self, index_cls, leaf_capacity):
-        # queries 1e3 outside the data: every bound is large while `worst` is inf
+    def test_far_queries_and_every_k_around_empty_leaves(self, index_cls, leaf_capacity, monkeypatch):
+        # queries 1e3 outside the data: every bound is large while `worst` is inf,
+        # in a tree whose churn spliced out the subtrees it emptied
+        emptied = []
+        replace = index_cls._replace_subtree
+
+        def spy(tree, old, live):
+            emptied.append(len(live) == 0)
+            replace(tree, old, live)
+
+        monkeypatch.setattr(index_cls, "_replace_subtree", spy)
         rng = np.random.default_rng(leaf_capacity)
         *_, (tree, live) = churned(index_cls, rng.standard_normal((120, 3)), leaf_capacity, 2)
-        assert any(node.is_leaf and not node.n_live for node in tree.root.walk())
+        assert any(emptied)
+        assert all(node.n_live for node in tree.root.walk())
         for q in (np.full(3, 1e3), np.array([-1e3, 0.0, 0.5]), np.array([0.0, 1e3, -1e3])):
             for k in range(1, len(live) + 3):
                 assert tree.knn(q, k) == brute_knn(tree.coords, live, q, k)
@@ -465,7 +475,7 @@ def test_insert_grows_each_path_region_to_the_canonical_bound(index_cls):
     distance to its center), or its old box widened to take the point, bit for bit."""
     rng = np.random.default_rng(7)
     tree = make_tree(rng.standard_normal((300, 3)), 4, index_cls)
-    live, next_id, alone = list(range(300)), 300, 0
+    live, next_id = list(range(300)), 300
     for step in range(600):
         if step % 3 == 2:
             tree.delete(live.pop(int(rng.integers(len(live)))))
@@ -474,26 +484,22 @@ def test_insert_grows_each_path_region_to_the_canonical_bound(index_cls):
         path = [tree.root]
         while not path[-1].is_leaf:
             path.append(path[-1].child_for(c))
-        before = [(node.n_live, copy.deepcopy(node.region)) for node in path]  # kd widens in place
+        before = [copy.deepcopy(node.region) for node in path]  # kd widens in place
         tree.insert(Point(next_id, c))
         live.append(next_id)
         split = tree._leaf_of[next_id] is not path[-1]
-        for node, (n_live, old) in zip(path[:-1] if split else path, before):
-            if n_live == 0:  # a leaf left empty by deletes takes the point as its region
-                assert node.is_leaf and node.region == (c.tolist(), c.tolist() if index_cls is KdTree else 0.0)
-                assert node.region[0] is not node.region[1]
-                alone += 1
-            elif index_cls is KdTree:
+        for node, old in zip(path[:-1] if split else path, before):
+            if index_cls is KdTree:
                 assert node.region == (np.minimum(old[0], c).tolist(), np.maximum(old[1], c).tolist())
             else:
                 assert node.region == (old[0], max(old[1], math.sqrt(sq_dists(c[None, :], node.center)[0])))
         next_id += 1
     tree.audit()
-    assert alone
 
 
 class TestRefillEmptiedLeaves:
-    """A leaf that deletes emptied restarts from the first point inserted into it."""
+    """An emptied root restarts from the first point inserted into it; an
+    emptied subtree leaves the tree, its sibling taking the parent's place."""
 
     @staticmethod
     def insert_into(tree, i, c):
@@ -542,15 +548,16 @@ class TestRefillEmptiedLeaves:
         rng = np.random.default_rng(leaf_capacity)
         coords = rng.standard_normal((300, 3))
         tree = make_tree(coords, leaf_capacity, index_cls)
+        right, depth = tree.root.right, tree.depth()
+        # the left child's first region coordinates (kd: the box's mins; ball:
+        # its center), a point where the emptied subtree was
+        c = np.array(tree.root.left.region[0])
         gone = tree.root.left.collect_live_ids()
         for i in rng.permutation(gone).tolist():
             tree.delete(i)
-        assert tree.root.left.is_leaf and tree.root.left.n_live == 0
+        assert tree.root is right and tree.tombstones == 0 and tree.depth() < depth
         live = tree.live_ids()
-        # the stale region's first coordinates (kd: the box's mins; ball: its
-        # center) descend into the emptied left child
-        c = np.array(tree.root.left.region[0])
-        assert self.insert_into(tree, 300, c)
+        assert not self.insert_into(tree, 300, c)
         live.append(300)
         self.check_answers(tree, live, rng)
         for i, x in enumerate(coords[gone], start=301):

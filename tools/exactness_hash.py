@@ -1,11 +1,14 @@
-"""Two SHA-256 lines: the dual-tree EMST's results on a fixed battery of sets,
-then the indexes' own answers and regions along a seeded churn stream.
+"""Three SHA-256 lines: the dual-tree EMST's results on a fixed battery of sets,
+the indexes' own answers and regions along a seeded churn stream, and those
+answers alone.
 
 Run from the repository root, with no options:
 
     python tools/exactness_hash.py
 
-A change that keeps every result bit prints the same two lines as its parent.
+A change that keeps every result bit prints the same three lines as its
+parent; one that reshapes the trees but keeps every answer changes line 2
+only.
 The battery is 14 sets (uniform n=3000 at d=1, 2, 3, 6, 15 and 50; gaussian;
 150 duplicate sites; 8 gaussian blobs at sigma 1e-4; 3000 cells of a 24^3
 lattice; a +-1e-21 cluster beside two points at +-1; an offset of 1e4 at d=8;
@@ -22,7 +25,8 @@ The second line hashes, on both backends at leaf capacities 20 and 4, a
 stream of inserts, deletes and `knn` queries (k of 1, 10 or 37) over 600
 gaussian points and 150 copies of 15 sites: every answer's ids and
 `float.hex()` distances, then every node's counts, region floats and leaf
-ids in pre-order once the stream ends.
+ids in pre-order once the stream ends.  The third line hashes the same
+stream's answers with no node state.
 
 It reads no engine attribute beyond `order`, `knn` and those counters, and
 no node attribute beyond `walk`, the counts, `region` and `ids`, so the same
@@ -127,7 +131,8 @@ def churn_stream(seed: int):
     return base, ops, coords
 
 
-def hash_index(h, backend_cls, leaf: int, stream) -> None:
+def hash_index(h, answers, backend_cls, leaf: int, stream) -> None:
+    """Update `h` with each answer and the final nodes, and `answers` with each answer."""
     base, ops, coords = stream
     index = backend_cls(Dataset(base), leaf)
     for op, arg in ops:
@@ -137,7 +142,9 @@ def hash_index(h, backend_cls, leaf: int, stream) -> None:
             index.delete(arg)
         else:
             at, k = arg
-            h.update(" ".join(f"{i}:{dist.hex()}" for i, dist in index.knn(at, k)).encode())
+            answer = " ".join(f"{i}:{dist.hex()}" for i, dist in index.knn(at, k)).encode()
+            h.update(answer)
+            answers.update(answer)
     index.audit()
     for node in index.root.walk():
         floats = [x for part in node.region for x in (part if isinstance(part, list) else [part])]
@@ -165,13 +172,15 @@ def main() -> None:
         finally:
             emst._base_capacity = own_capacity
     print(h.hexdigest())
-    h = hashlib.sha256()
+    h, answers = hashlib.sha256(), hashlib.sha256()
     stream = churn_stream(24)
     for backend, cls in BACKENDS.items():
         for leaf in (20, 4):
-            h.update(f"churn {backend} {leaf}".encode())
-            hash_index(h, cls, leaf, stream)
+            for one in (h, answers):
+                one.update(f"churn {backend} {leaf}".encode())
+            hash_index(h, answers, cls, leaf, stream)
     print(h.hexdigest())
+    print(answers.hexdigest())
     print(f"{2 * 2 * (len(sets) + 1)} runs and 4 streams in {time.perf_counter() - start:.1f} s", file=sys.stderr)
 
 
