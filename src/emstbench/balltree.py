@@ -34,8 +34,6 @@ from .index import IndexNode, SpatialIndex
 
 __all__ = ["SplitChoice", "BallNode", "BallTree", "choose_split", "ball_min_distance"]
 
-_CONTAINMENT_SLACK = 1e-9
-
 
 @dataclass(frozen=True)
 class SplitChoice:
@@ -182,9 +180,11 @@ class BallTree(SpatialIndex):
         return c, 0.0
 
     def _audit_region(self, node: BallNode, live: np.ndarray, parts: tuple) -> None:
+        # exact: `_make_node` and `_grow_path` set each radius to at least the
+        # canonical distance, computed as here, of every point the ball takes in
         if len(live):
             dists = np.sqrt(sq_dists(self._coords[live], node.center))
-            if float(dists.max()) > node.radius + _CONTAINMENT_SLACK:
+            if float(dists.max()) > node.radius:
                 raise AssertionError(
                     f"point escapes ball: dist {dists.max()} > radius {node.radius}"
                 )

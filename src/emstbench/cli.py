@@ -13,7 +13,6 @@ import sys
 from .bench import BenchConfig, emit_report, run_suite
 from .core import DISTRIBUTIONS, fmt17, generate_synthetic, load_dataset, write_dataset
 from .emst import dual_tree_boruvka, kruskal_mst, naive_boruvka, write_edges
-from .index import DEFAULT_LEAF_CAPACITY
 from .slink import single_linkage, write_labels
 
 EMST_BACKENDS = ("kd", "ball", "naive", "kruskal")
@@ -44,14 +43,12 @@ def build_parser() -> argparse.ArgumentParser:
     emst = sub.add_parser("emst", help="compute the EMST of a CSV dataset")
     emst.add_argument("--in", dest="infile", required=True)
     emst.add_argument("--backend", choices=EMST_BACKENDS, default="kd")
-    emst.add_argument("--leaf-capacity", type=int, default=DEFAULT_LEAF_CAPACITY)
     emst.add_argument("--out", help="edge file destination (u,v,weight lines)")
 
     cluster = sub.add_parser("cluster", help="single-linkage clustering via the EMST")
     cluster.add_argument("--in", dest="infile", required=True)
     cluster.add_argument("--k", type=int, required=True)
     cluster.add_argument("--backend", choices=EMST_BACKENDS, default="kd")
-    cluster.add_argument("--leaf-capacity", type=int, default=DEFAULT_LEAF_CAPACITY)
     cluster.add_argument("--out", required=True)
 
     bench = sub.add_parser("bench", help="run the timing suite")
@@ -72,9 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _compute_mst(ds, backend: str, leaf_capacity: int):
+def _compute_mst(ds, backend: str):
     if backend in ("kd", "ball"):
-        return dual_tree_boruvka(ds, backend, leaf_capacity)
+        return dual_tree_boruvka(ds, backend)
     if backend == "naive":
         return naive_boruvka(ds)
     return kruskal_mst(ds)
@@ -89,7 +86,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_emst(args) -> int:
     ds = load_dataset(args.infile)
-    mst = _compute_mst(ds, args.backend, args.leaf_capacity)
+    mst = _compute_mst(ds, args.backend)
     if args.out:
         write_edges(mst, args.out)
     print(f"total_weight={fmt17(mst.total_weight)}")
@@ -98,7 +95,7 @@ def _cmd_emst(args) -> int:
 
 def _cmd_cluster(args) -> int:
     ds = load_dataset(args.infile)
-    mst = _compute_mst(ds, args.backend, args.leaf_capacity)
+    mst = _compute_mst(ds, args.backend)
     labels = single_linkage(mst, ds.n, args.k)
     write_labels(labels, args.out)
     print(f"wrote {len(set(labels.tolist()))} clusters for {ds.n} points to {args.out}")

@@ -116,13 +116,13 @@ block units by `np.ldexp(w, -2e)`, limits capped at 8 pass every block value
 but never the infinite masked diagonal, and data times 2**k (e + k) gives
 the same candidates.
 
-Each base node keeps its points twice in float32: x^ = fl32(x') and
-n^ = fl32(|x'|^2), the norm summed in float64, as a reference copy
-[x^, n^, 1] and a query copy [-2 x^, 1, n^].  One matrix product of a query
-copy with a reference copy gives the block n^_q + n^_r - 2 x^_q.x^_r as a
-sum of d + 2 terms.  Doubling is exact in float32, subnormals included, so
-the product's inputs are exactly x^ and n^; only the summation order is the
-BLAS's.
+The engine keeps every point twice in float32, as two row arrays that
+`_block` slices by a holder's rows: x^ = fl32(x') and n^ = fl32(|x'|^2), the
+norm summed in float64, as a reference copy [x^, n^, 1] and a query copy
+[-2 x^, 1, n^].  One matrix product of query copies with reference copies
+gives the block n^_q + n^_r - 2 x^_q.x^_r, each entry a sum of d + 2 terms.
+Doubling is exact in float32, subnormals included, so the product's inputs
+are exactly x^ and n^; only the summation order is the BLAS's.
 
 A block of q against r has the window err32 * S + floor, S = max|q'|^2 +
 max|r'|^2 in block units (float64), u = 2**-24.  Rounding the inputs moves
@@ -152,12 +152,13 @@ them to zero; each engine checks this first (`_gemm_keeps_subnormals`).
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 
 from .balltree import BallTree
 from .core import Dataset, Edge, EdgeList, check_sq_range, cross_sq_dists, fmt17, sq_dists
-from .index import DEFAULT_LEAF_CAPACITY, _PRUNE_EPS
+from .index import _PRUNE_FACTOR, DEFAULT_LEAF_CAPACITY
 from .kdtree import KdTree
 
 __all__ = [
@@ -174,7 +175,6 @@ __all__ = [
 
 BACKENDS = {"kd": KdTree, "ball": BallTree}
 
-_PRUNE_FACTOR = 1.0 - _PRUNE_EPS  # never prune an exact boundary tie
 _K = 16  # nearest neighbours cached per point across Boruvka rounds
 # block kernel (module docstring): finite limit above every block value,
 # least scaling exponent, and centring round-off per unit of scale
@@ -294,7 +294,6 @@ class _NodeState:
         "left",
         "right",
         "parent",
-        "n_live",
         "rows",
         "max_sqn",
         "region",
@@ -309,7 +308,6 @@ class _NodeState:
         # the parent's index in the engine's node list, -1 at the root: an
         # index, not a reference, keeps the states free of reference cycles
         self.parent = parent
-        self.n_live = node.n_live
         self.rows = None
         # the largest squared norm of the rows' block-kernel copies, in float64
         self.max_sqn = 0.0
@@ -350,10 +348,8 @@ class _DualTreeEngine:
         # parents before children: reversed, the list runs bottom-up
         self.nodes = self._snapshot(tree.root, base_cap)
         self.root = self.nodes[0]
-        self.max_id = int(order.max()) if len(order) else -1
-        live_coords = self.coords[order]
-        check_sq_range(live_coords)
-        self._fill_fast(live_coords)
+        self.max_id = int(order.max())
+        self._fill_fast(self.coords[order])
         # row r holds live point order[r] (rows are not sorted by id): its `_K`
         # nearest other points as canonical squared weight + 1j * id,
         # ascending by (weight, id); `_PAD` pads short lists
@@ -385,7 +381,7 @@ class _DualTreeEngine:
         while stack:
             i, node, start = stack.pop()
             ls = nodes[i].left = make(node.left, i, start)
-            rs = nodes[i].right = make(node.right, i, start + ls.n_live)
+            rs = nodes[i].right = make(node.right, i, start + node.left.n_live)
             if ls.base and rs.base:
                 nodes[i].rows = slice(start, start + node.n_live)  # a base parent
         return nodes
@@ -394,15 +390,16 @@ class _DualTreeEngine:
         """The block kernel's `query` and `ref` copies of the points (module docstring).
 
         `live_coords` holds the points in the engine's row order, the copies'
-        row order; it is overwritten.  Each holder keeps its rows' `max_sqn`.
+        row order; it is overwritten, after their bounding box is checked
+        (`check_sq_range`).  Each holder keeps its rows' `max_sqn`.
         """
         fast = live_coords
-        if len(fast):
-            lo, hi = fast.min(axis=0), fast.max(axis=0)
-            fast -= lo + (hi - lo) / 2.0
-            reach = max(float(fast.max()), -float(fast.min()))
-            if reach > 0.0:
-                self.exp = max(math.frexp(reach * math.sqrt(self.d))[1], _MIN_EXP)
+        lo, hi = fast.min(axis=0), fast.max(axis=0)
+        check_sq_range(np.stack((lo, hi)))
+        fast -= lo + (hi - lo) / 2.0
+        reach = max(float(fast.max()), -float(fast.min()))
+        if reach > 0.0:
+            self.exp = max(math.frexp(reach * math.sqrt(self.d))[1], _MIN_EXP)
         np.ldexp(fast, -self.exp, out=fast)
         sqn = np.einsum("ij,ij->i", fast, fast)
         self.ref = ref = np.empty((len(fast), self.d + 2), dtype=np.float32)
@@ -533,17 +530,11 @@ class _DualTreeEngine:
                     stack.append((0.0, right, right))
                     stack.append((0.0, left, left))
                     continue
-                if a.base:
-                    pairs = ((a, b.left), (a, b.right))
-                elif b.base:
-                    pairs = ((a.left, b), (a.right, b))
-                else:
-                    pairs = (
-                        (a.left, b.left),
-                        (a.left, b.right),
-                        (a.right, b.left),
-                        (a.right, b.right),
-                    )
+                # split each side that is not a base node
+                pairs = tuple(product(
+                    (a,) if a.base else (a.left, a.right),
+                    (b,) if b.base else (b.left, b.right),
+                ))
                 scored = [(min_sq(x.region, y.region), i) for i, (x, y) in enumerate(pairs)]
                 # unless both sides hold blocks and no child pair would be
                 # pruned: then fall through to one fused base case, whose

@@ -60,9 +60,11 @@ from .core import Dataset, Point, coords_of, sq_dists
 
 __all__ = ["IndexNode", "SpatialIndex"]
 
-# Relative slack applied before discarding a node during search: rounding in
-# the bound arithmetic must never prune a point that ties the k-th best.
+# Relative slack applied before discarding a node during search (and a node
+# pair in the EMST engine): rounding in the bound arithmetic must never prune
+# a point that ties the k-th best.  Bounds are scaled by `_PRUNE_FACTOR` first.
 _PRUNE_EPS = 1e-12
+_PRUNE_FACTOR = 1.0 - _PRUNE_EPS
 DEFAULT_LEAF_CAPACITY = 20  # the points a leaf holds before it splits, unless set
 
 
@@ -312,8 +314,8 @@ class SpatialIndex:
                     df = min_sq(far.region, target)
                     if df < dn:
                         near, far, dn, df = far, near, df, dn
-                    if dn * (1.0 - _PRUNE_EPS) <= worst:
-                        if df * (1.0 - _PRUNE_EPS) <= worst:
+                    if dn * _PRUNE_FACTOR <= worst:
+                        if df * _PRUNE_FACTOR <= worst:
                             pushed += 1
                             heapq.heappush(frontier, (df, pushed, far))
                         if not frontier or dn <= frontier[0][0]:
@@ -335,7 +337,7 @@ class SpatialIndex:
                 if not frontier:
                     break
                 dist, _, node = heapq.heappop(frontier)
-                if dist * (1.0 - _PRUNE_EPS) > worst:
+                if dist * _PRUNE_FACTOR > worst:
                     break  # every node left is at least this far
 
         if best[-1][0] == math.inf:

@@ -213,6 +213,33 @@ def test_audit_catches_a_shrunk_radius(rng):
         tree.audit()
 
 
+def test_audit_catches_radii_forged_to_zero_at_a_tiny_scale(rng):
+    # every ball of two or more distinct points now misses one by about 1e-12
+    tree = BallTree(Dataset(rng.random((200, 3)) * 1e-12))
+    tree.audit()
+    for node in tree.root.walk():
+        node.region = (node.region[0], 0.0)
+    with pytest.raises(AssertionError, match="escapes"):
+        tree.audit()
+
+
+def test_audit_catches_a_root_radius_one_ulp_short(rng):
+    tree = BallTree(Dataset(rng.random((200, 3))))
+    tree.audit()
+    center, radius = tree.root.region
+    tree.root.region = (center, float(np.nextafter(radius, 0.0)))  # the farthest point now escapes
+    with pytest.raises(AssertionError, match="escapes"):
+        tree.audit()
+
+
+def test_audit_catches_a_negative_radius():
+    tree = make_tree([[0.0, 0.0]])
+    tree.delete(0)  # an emptied root holds no point to test containment on
+    tree.root.region = (tree.root.region[0], -1.0)
+    with pytest.raises(AssertionError, match="negative radius"):
+        tree.audit()
+
+
 class TestMutation:
     def test_insert_splits_singleton(self):
         tree = make_tree([[0.0, 0.0]], leaf_capacity=1)

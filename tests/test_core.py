@@ -129,6 +129,25 @@ class TestDataset:
         with pytest.raises(ValueError, match="non-negative"):
             Point(-1, [0.0])
 
+    def test_point_rejects_2d_coords(self):
+        with pytest.raises(ValueError, match=r"coords must be 1-D, got shape \(1, 2\)"):
+            Point(0, [[0.0, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_point_rejects_non_finite_coords(self, bad):
+        with pytest.raises(ValueError, match="point 3 has non-finite coordinates"):
+            Point(3, [0.0, bad])
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_rejects_coords_not_2d(self, shape):
+        with pytest.raises(ValueError, match=r"coords must be 2-D \(n, d\)"):
+            Dataset(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0)])
+    def test_rejects_an_empty_array(self, shape):
+        with pytest.raises(ValueError, match="dataset needs n >= 1 and d >= 1"):
+            Dataset(np.zeros(shape))
+
 
 class TestCsvIO:
     def test_minimal_parse(self, tmp_path):

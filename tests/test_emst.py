@@ -625,7 +625,7 @@ class TestNeighborLists:
         for state in engine.nodes:
             if not state.base:
                 assert state.bound == max(state.left.bound, state.right.bound)
-            elif state.n_live:
+            else:
                 assert state.bound == kth[state.rows].max()
 
     @pytest.mark.parametrize("backend_cls", [KdTree, BallTree])
@@ -651,7 +651,7 @@ class TestNeighborLists:
                     ls, rs = state.left, state.right
                     assert state.comp == (ls.comp if ls.comp == rs.comp else -1)
                     assert state.bound == max(ls.bound, rs.bound)
-                elif state.n_live:
+                else:
                     comps = np.unique(labels[engine.order[state.rows]])
                     assert state.comp == (comps[0] if len(comps) == 1 else -1)
                     assert state.bound == bound[comps].max()
@@ -663,7 +663,7 @@ class TestNeighborLists:
         index = KdTree(generate_synthetic(600, 3, "uniform", 3), 20)
         find_component_neighbors(index, DisjointSet(600))
         engine = index._emst_engine
-        bases = [s for s in engine.nodes if s.base and s.n_live]
+        bases = [s for s in engine.nodes if s.base]
         blocks = [engine._block(a, b)[0].copy() for a in bases for b in bases]
         err = engine._block(bases[0], bases[-1])[1]
         finite = np.random.default_rng(3).random(200) * 1e-2
@@ -743,7 +743,7 @@ class TestNeighborLists:
         assert all(empty for qs, rs, empty in blocks if qs is rs)
         assert any(qs is not rs for qs, rs, _ in blocks)
         if kind == "one-point":
-            lone = [s for s in index._emst_engine.nodes if s.base and s.n_live == 1]
+            lone = [s for s in index._emst_engine.nodes if s.base and s.rows.stop - s.rows.start == 1]
             assert len(lone) == 1
             first = next((qs, rs) for qs, rs, _ in blocks if lone[0] in (qs, rs))
             assert first[0] is not first[1]
@@ -922,7 +922,7 @@ def test_block_values_lie_within_their_window(backend_cls, d, kind, base_cap, se
         if base_cap is not None:
             patch.setattr(emst_module, "_base_capacity", lambda d: base_cap)
         engine = _DualTreeEngine(index)
-    bases = [s for s in engine.nodes if s.base and s.n_live]
+    bases = [s for s in engine.nodes if s.base]
     for a in bases:
         for b in bases:
             w, err = engine._block(a, b)
@@ -932,7 +932,7 @@ def test_block_values_lie_within_their_window(backend_cls, d, kind, base_cap, se
             worst = np.unravel_index(np.argmax(dev), dev.shape)  # a NaN counts as the worst
             fast, want, off = (float(x[worst]) for x in (w, exact, dev))
             assert off <= err, (
-                f"block of base nodes of {a.n_live} and {b.n_live} points: fast value "
+                f"block of base nodes of {len(a_ids)} and {len(b_ids)} points: fast value "
                 f"{fast!r}, exact {want!r}, deviation {off!r} outside the window {err!r} "
                 f"(exp {engine.exp})"
             )
@@ -996,7 +996,7 @@ class TestFusedBlocks:
         coords = rng.random((300, d)) if kind == "uniform" else tie_heavy_coords(kind, 300, rng, d)
         monkeypatch.setattr(emst_module, "_base_capacity", lambda d: base_cap)
         engine = _DualTreeEngine(backend_cls(Dataset(coords), 20))
-        holders = [s for s in engine.nodes if s.rows is not None and s.n_live]
+        holders = [s for s in engine.nodes if s.rows is not None]
         parents = [s for s in holders if not s.base]
         assert parents
         ids = engine.order
@@ -1008,7 +1008,7 @@ class TestFusedBlocks:
             for b in holders:
                 w, err = engine._block(a, b)
                 off = np.abs(w - exact[np.ix_(ids[a.rows], ids[b.rows])]).max()
-                assert off <= err, f"blocks of {a.n_live} and {b.n_live} points: {off!r} > {err!r}"
+                assert off <= err, f"blocks of {len(ids[a.rows])} and {len(ids[b.rows])} points: {off!r} > {err!r}"
 
     @pytest.mark.parametrize("kind", ["sites", "blobs"])
     def test_fused_blocks_give_exact_lists_and_msts(self, kind, fused, monkeypatch):

@@ -275,6 +275,96 @@ def test_audit_walks_a_tree_deeper_than_the_recursion_limit(index_cls):
         tree.audit()
 
 
+class TestAuditDetections:
+    """Each forged defect is caught by its own audit check, named by its message."""
+
+    @staticmethod
+    def audit_fails(tree, message):
+        with pytest.raises(AssertionError, match=message):
+            tree.audit()
+
+    @both_indexes
+    def test_a_leaf_over_capacity(self, rng, index_cls):
+        tree = index_cls(random_dataset(rng, 60, 2), leaf_capacity=4)
+        full = max(len(node.ids) for node in tree.root.walk() if node.is_leaf)
+        tree.leaf_capacity = full - 1
+        self.audit_fails(tree, f"leaf holds {full} > capacity {full - 1}")
+
+    @both_indexes
+    def test_a_leaf_count_out_of_sync_with_its_ids(self, rng, index_cls):
+        tree = index_cls(random_dataset(rng, 60, 2), leaf_capacity=4)
+        tree._leaf_of[0].n_live += 1  # leaves are checked before their parents
+        self.audit_fails(tree, "leaf live count out of sync with its id list")
+
+    @both_indexes
+    def test_an_id_in_two_leaves(self, index_cls):
+        # six copies of one point make two leaves of three with one region,
+        # which holds the copy each leaf gains from the other
+        tree = make_tree([[1.0, 2.0]] * 6, 4, index_cls)
+        left, right = tree.root.left, tree.root.right
+        right.ids.append(left.ids[0])
+        right.n_live += 1
+        self.audit_fails(tree, f"id {left.ids[0]} appears in more than one leaf")
+
+    @both_indexes
+    def test_a_broken_parent_link(self, rng, index_cls):
+        tree = index_cls(random_dataset(rng, 60, 2), leaf_capacity=4)
+        tree.root.right._parent = index_module._no_parent
+        self.audit_fails(tree, "broken parent link")
+
+    @both_indexes
+    def test_an_empty_node_below_the_root(self, rng, index_cls):
+        tree = index_cls(random_dataset(rng, 60, 2), leaf_capacity=4)
+        leaf = tree._leaf_of[0]
+        for i in leaf.ids:
+            del tree._leaf_of[i]
+        node, removed = leaf, len(leaf.ids)
+        leaf.ids = []
+        while node is not None:  # every count stays in sync
+            node.n_live -= removed
+            node = node._parent()
+        self.audit_fails(tree, "a node below the root holds no live point")
+
+    @both_indexes
+    def test_a_tombstone_sum_that_does_not_match(self, rng, index_cls):
+        tree = index_cls(random_dataset(rng, 60, 2), leaf_capacity=4)
+        tree.root.n_tomb += 1
+        self.audit_fails(tree, "internal tombstone count != sum of children")
+
+    @both_indexes
+    def test_an_id_index_with_an_id_no_leaf_holds(self, rng, index_cls):
+        tree = index_cls(random_dataset(rng, 60, 2), leaf_capacity=4)
+        tree._leaf_of[60] = tree._leaf_of[0]
+        self.audit_fails(tree, "leaf contents out of sync with the id index")
+
+    @both_indexes
+    def test_an_id_index_pointing_at_the_wrong_leaf(self, rng, index_cls):
+        tree = index_cls(random_dataset(rng, 60, 2), leaf_capacity=4)
+        tree._leaf_of[0] = next(tree._leaf_of[i] for i in range(60) if tree._leaf_of[i] is not tree._leaf_of[0])
+        self.audit_fails(tree, "id index points id 0 at the wrong leaf")
+
+    @both_indexes
+    def test_a_size_out_of_sync_with_the_live_ids(self, rng, index_cls):
+        # `size` reads the root's count, which the count checks tie to the
+        # leaves, so only a `size` computed another way can drift from them
+        class Miscounted(index_cls):
+            size = property(lambda self: self.root.n_live + 1)
+
+        self.audit_fails(Miscounted(random_dataset(rng, 60, 2), 4), "tree size out of sync with live ids")
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_a_moved_split_plane(self, rng, side):
+        tree = KdTree(random_dataset(rng, 60, 2), leaf_capacity=4)
+        root = tree.root
+        if side == "left":  # just below the left subtree's largest value
+            vals = tree.coords[root.left.collect_live_ids(), root.split_dim]
+            root.split_value = float(np.nextafter(vals.max(), -np.inf))
+        else:  # just above the right subtree's least value
+            vals = tree.coords[root.right.collect_live_ids(), root.split_dim]
+            root.split_value = float(np.nextafter(vals.min(), np.inf))
+        self.audit_fails(tree, f"{side} subtree violates split plane")
+
+
 class TestKnnRange:
     """k-NN on coordinates near the float64 limits, on both indexes."""
 
